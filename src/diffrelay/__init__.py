@@ -11,7 +11,6 @@ Carlo sweeps), cli (config-driven batch front end).
 from .analysis import (
     PepResult,
     PepTermsConfig,
-    QuadratureSpec,
     SnrPoint,
     fit_diversity_slope,
     pep_asymptotic_conditional,
@@ -48,7 +47,6 @@ __all__ = [
     "LinkParams",
     "PepResult",
     "PepTermsConfig",
-    "QuadratureSpec",
     "SerCurve",
     "SerPoint",
     "SeriesTruncation",

@@ -467,6 +467,11 @@ def cmd_sweep(config, workers=1):
             "seed": plan.seed, "plan_hash": curve.plan_hash,
             "wall_time_s": curve.wall_time_s,
             "points_ok": int(curve.snr_db.size),
+            "points": [
+                {"snr_db": p.snr_db, "errors": p.errors, "trials": p.trials,
+                 "fallbacks": p.fallbacks}
+                for p in curve.points if p.failure is None
+            ],
             "failures": [
                 {"snr_db": p.snr_db, "reason": p.failure}
                 for p in curve.failures

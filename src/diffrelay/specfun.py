@@ -1,6 +1,6 @@
 """Scalar special functions for the analytical SER engine.
 
-Plain-domain evaluators (q_function, incomplete gamma, Laguerre) follow the
+Plain-domain evaluators (incomplete gamma, Laguerre) follow the
 finite-series definitions that the analysis module builds on.  The log-domain
 variants exist because the SER series multiply factorially growing factors by
 exponentially small ones; they keep every intermediate in log space.
@@ -45,18 +45,6 @@ def _check_order(name: str, v: int, minimum: int) -> int:
     if int(v) != v or v < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
     return int(v)
-
-
-def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x).
-
-    Accepts scalars or arrays; rejects non-finite input.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("q_function requires finite input")
-    out = 0.5 * sp.erfc(arr / math.sqrt(2.0))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def incomplete_gamma_upper(v: int, y: float) -> float:

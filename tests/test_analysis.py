@@ -2,8 +2,9 @@
 
 Oracles are independent of the implementation: characteristic-function
 inversion for the exact error law, a regrouped high-order series averaged by
-panelled quadrature for the closed form, literal term-by-term summation for
-the asymptotics, and event-level Monte Carlo over the full signal model.
+panelled quadrature for the closed form, nested adaptive quadrature for the
+Gaussian approximation, literal term-by-term summation for the asymptotics,
+and event-level Monte Carlo over the full signal model.
 """
 
 import math
@@ -19,6 +20,9 @@ from oracles import (
     cf_pep_total,
     cf_self_check,
     event_monte_carlo,
+    gaussian_density_average,
+    gaussian_pep_adaptive,
+    gaussian_tail_average,
     pair_coefficients,
     series_conditional_pep,
     series_middle,
@@ -29,8 +33,10 @@ from oracles import (
 from diffrelay.analysis import (
     PepResult,
     PepTermsConfig,
-    QuadratureSpec,
     SnrPoint,
+    _laplace_density,
+    _laplace_scales,
+    _laplace_tail,
     _pair_coefficients,
     fit_diversity_slope,
     pep_asymptotic_conditional,
@@ -40,8 +46,10 @@ from diffrelay.analysis import (
     pep_quadrature_approx,
     ser_nearest_neighbor,
 )
+from diffrelay.channel import LinkParams
 from diffrelay.constellation import make_psk, make_qam, nearest_neighbors
 from diffrelay.decoders import clip_threshold
+from diffrelay.relay import analytic_epsilon_psk
 from diffrelay.specfun import SeriesTruncation
 
 QPSK = make_psk(4)
@@ -336,11 +344,43 @@ class TestQuadratureApprox:
         res = pep_quadrature_approx(QPSK.points[0], QPSK.points[1], qpsk_cfg(10.0, 10.0))
         assert 0.0 < float(res) < 1.0
 
-    def test_flags_exhausted_subdivisions(self):
-        cfg = qpsk_cfg(20.0, 20.0, quadrature=QuadratureSpec(max_subdivisions=1))
-        res = pep_quadrature_approx(QPSK.points[0], QPSK.points[1], cfg)
-        assert not res.converged
-        assert res.warnings
+    @staticmethod
+    def _analytic_cfg(m, db):
+        link = LinkParams(sigma2=1.0, noise_var=10.0 ** (-db / 10.0))
+        eps = analytic_epsilon_psk(link, make_psk(m))
+        return PepTermsConfig(snr_point=SnrPoint.from_db(db, db), eps=eps, m=m)
+
+    def test_matches_adaptive_oracle(self):
+        for m in (2, 4, 16):
+            pts = make_psk(m).points
+            for db in (0.0, 18.0, 36.0):
+                cfg = self._analytic_cfg(m, db)
+                res = pep_quadrature_approx(pts[0], pts[1], cfg)
+                assert res.converged and not res.warnings
+                ref = gaussian_pep_adaptive(
+                    pts, 0, 1, cfg.eps, cfg.threshold,
+                    cfg.snr_point.gamma_sd, cfg.snr_point.gamma_rd,
+                )
+                assert float(res) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("z, scale, gbar", [
+        (-1.2, 1.5, 3.0), (0.0, 0.8, 40.0), (0.7, 1.1, 0.5), (-0.3, 2.0, 400.0),
+    ])
+    def test_laplace_law_matches_gaussian_average(self, z, scale, gbar):
+        nu, mu = _laplace_scales(z, scale * scale, gbar)
+        for w in (-2.5, -0.4, 0.0, 0.3, 3.0):
+            assert float(_laplace_tail(w, nu, mu)) == pytest.approx(
+                gaussian_tail_average(w, z, scale, gbar), rel=1e-8, abs=1e-13)
+            assert float(_laplace_density(w, nu, mu)) == pytest.approx(
+                gaussian_density_average(w, z, scale, gbar), rel=1e-8, abs=1e-13)
+
+    def test_finite_and_decreasing_at_high_snr(self):
+        for m in (4, 32):
+            pts = make_psk(m).points
+            vals = [float(pep_quadrature_approx(pts[0], pts[1], self._analytic_cfg(m, db)))
+                    for db in np.arange(30.0, 61.0, 3.0)]
+            assert all(math.isfinite(v) and v > 0.0 for v in vals)
+            assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestSerNearestNeighbor:

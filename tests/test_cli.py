@@ -335,6 +335,13 @@ class TestSweepCommand:
         (curve,) = summary["curves"]
         assert curve["label"] == "psk4_pl"
         assert curve["points_ok"] == 2
+        rows = [r for r in read_rows(str(tmp / "run.csv")) if r["source"] == "mc"]
+        assert [sorted(p) for p in curve["points"]] == [
+            ["errors", "fallbacks", "snr_db", "trials"]] * 2
+        assert [(p["snr_db"], p["errors"], p["trials"]) for p in curve["points"]] == [
+            (r["snr_db"], r["errors"], r["trials"]) for r in rows]
+        assert all(isinstance(p["fallbacks"], int) and p["fallbacks"] >= 0
+                   for p in curve["points"])
         assert curve["failures"] == []
         assert "error" in curve["slope_fit"]
         (comp,) = summary["comparisons"]

@@ -1,8 +1,8 @@
 """Tests for the special-function layer.
 
 Oracles are independent of the implementation: adaptive quadrature for the
-Gaussian tail and incomplete gamma, explicit coefficient sums for Laguerre
-polynomials, and log-domain recurrence identities for the deep-tail variants.
+incomplete gamma, explicit coefficient sums for Laguerre polynomials, and
+log-domain recurrence identities for the deep-tail variants.
 """
 
 import math
@@ -21,44 +21,7 @@ from diffrelay.specfun import (
     log_incomplete_gamma_lower,
     log_incomplete_gamma_upper,
     log_laguerre_neg_table,
-    q_function,
 )
-
-
-class TestQFunction:
-    def test_zero(self):
-        assert q_function(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_against_quadrature(self):
-        # Truncating at 40 discards a tail below exp(-800).
-        val, err = integrate.quad(
-            lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-            3.0,
-            40.0,
-            epsabs=1e-14,
-            epsrel=1e-13,
-        )
-        assert err < 1e-13
-        assert q_function(3.0) == pytest.approx(val, abs=1e-12)
-
-    def test_chernov_bound(self):
-        x = 10.0
-        assert q_function(x) <= math.exp(-x * x / 2.0)
-
-    def test_strictly_decreasing(self):
-        grid = np.linspace(-6.0, 6.0, 201)
-        vals = q_function(grid)
-        assert np.all(np.diff(vals) < 0.0)
-
-    @given(st.floats(min_value=-30.0, max_value=30.0))
-    def test_symmetry(self, x):
-        assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            q_function(float("nan"))
-        with pytest.raises(ValueError):
-            q_function(float("inf"))
 
 
 class TestIncompleteGamma:
