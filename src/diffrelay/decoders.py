@@ -13,6 +13,13 @@ average decision error probability.  Two decoder families are provided:
 QAM decoding needs the magnitude of each link's previous symbol; those are
 fed back either from the destination's own decisions (decision-directed) or
 from the true values (genie reference).
+
+Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
+(R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
+tournament runs candidate-major, (M, n) and (M, R, n), carrying the
+champion's values instead of gathering them.  QAM frames score and mix every
+relay link over (R, B, L, M) before the per-symbol loop, which keeps only
+the direct link's score, the combination and the decision.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import make_stream
 from .constellation import ConstellationSpec, make_psk
-from .relay import qam_pair_objective
+from .relay import demod_qam_frame, qam_pair_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
@@ -114,10 +120,16 @@ def f_pl(t, threshold):
     return np.clip(t, -threshold, threshold)
 
 
-def _psk_statistics(y_prev, y_curr, points, noise_var):
-    """Per-candidate correlation statistics, broadcast over leading axes."""
-    z = np.conj(y_curr) * y_prev
-    return np.real(np.asarray(z)[..., None] * points) / noise_var
+def _psk_statistics(y, points, noise_var):
+    """Per-candidate correlation statistics of the sample pairs of frames y.
+
+    y has shape (..., L+1); the result has shape (..., L, M), or (M, n) over
+    the n flattened pairs when points is a column (candidate-major).
+    """
+    z = np.conj(y[..., 1:]) * y[..., :-1]
+    if points.ndim == 1:
+        return np.real(z[..., None] * points) / noise_var
+    return np.real(z.ravel() * points) / noise_var
 
 
 def _qam_scores(y_prev, y_curr, points, noise_var, prev_mag):
@@ -129,32 +141,62 @@ def _mixture_log_scores(scores, eps):
     """Log of the right-or-wrong relay mixture applied to one relay's scores.
 
     scores has candidates on the last axis; entry k of the result is the log
-    of (1-eps) exp(scores[k]) + eps/(M-1) sum over i != k of exp(scores[i]).
+    of (1-eps) exp(scores[k]) + eps/(M-1) sum over i != k of exp(scores[i]),
+    evaluated as mx + log((1-eps) e_k + w (S - e_k)) with mx the largest
+    score, e = exp(scores - mx) and S the sum of e.
     """
     scores = np.asarray(scores, dtype=float)
-    m = scores.shape[-1]
     if eps == 0.0:
         return scores
-    w_other = eps / (m - 1)
-    a = 1.0 - eps - w_other
-    if a > 0.0:
-        total = logsumexp(scores, axis=-1, keepdims=True)
-        return np.logaddexp(math.log(a) + scores, math.log(w_other) + total)
-    out = np.empty_like(scores)
-    weights = np.full(m, w_other)
-    for k in range(m):
-        b = weights.copy()
-        b[k] = 1.0 - eps
-        out[..., k] = logsumexp(scores, axis=-1, b=b)
-    return out
+    mx = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - mx)
+    mix = e.sum(axis=-1, keepdims=True) - e
+    mix *= eps / (scores.shape[-1] - 1)
+    mix += (1.0 - eps) * e
+    np.log(mix, out=mix)
+    mix += mx
+    return mix
 
 
 def _ml_objective(base, rels, epsilons):
-    """base (..., M); rels (..., R, M); returns combined objective (..., M)."""
-    obj = np.asarray(base, dtype=float).copy()
-    for r, eps in enumerate(epsilons):
-        obj += _mixture_log_scores(rels[..., r, :], eps)
+    """base (..., M) plus the mixture log-scores of relay-major rels (R, ..., M)."""
+    obj = np.array(base, dtype=float)
+    for scores, eps in zip(rels, epsilons):
+        obj += _mixture_log_scores(scores, eps)
     return obj
+
+
+def _tournament(base, rels, thresholds):
+    """Candidate-major core of the pairwise rule.
+
+    base has shape (M, n) and rels (M, R, n).  The champion's own base and
+    relay values are carried along and overwritten where it loses, so no
+    step gathers.  Returns (winners of shape (n,), fallback count).
+    """
+    m, n = base.shape
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    champ = np.zeros(n, dtype=np.int64)
+    cb = base[0].copy()
+    cr = rels[0].copy()
+    for q in range(1, m):
+        lam = cb - base[q]
+        lam += np.clip(cr - rels[q], -thr, thr).sum(axis=0)
+        lose = ~(lam > 0.0)
+        np.putmask(champ, lose, q)
+        np.copyto(cb, base[q], where=lose)
+        np.copyto(cr, rels[q], where=lose)
+    lam_all = cb - base
+    lam_all += np.clip(cr - rels, -thr, thr).sum(axis=1)
+    # the champion's statistic against itself is exactly 0, never positive
+    bad = np.flatnonzero(np.count_nonzero(lam_all > 0.0, axis=0) < m - 1)
+    if bad.size:
+        b2 = base[:, bad].T
+        r2 = rels[:, :, bad].T
+        diff0 = b2[:, :, None] - b2[:, None, :]
+        diffm = r2[:, :, :, None] - r2[:, :, None, :]
+        lam_mat = diff0 + np.clip(diffm, -thr[..., None], thr[..., None]).sum(axis=1)
+        champ[bad] = np.argmax(lam_mat.sum(axis=-1), axis=-1)
+    return champ, int(bad.size)
 
 
 def _pairwise_select(base, rels, thresholds):
@@ -168,37 +210,13 @@ def _pairwise_select(base, rels, thresholds):
     instances that needed the total-statistic fallback).
     """
     base = np.asarray(base, dtype=float)
-    rels = np.asarray(rels, dtype=float)
     m = base.shape[-1]
-    lead_shape = base.shape[:-1]
-    n_rel = rels.shape[-2]
     b2 = base.reshape(-1, m)
-    r2 = rels.reshape(-1, n_rel, m)
-    n = b2.shape[0]
-    rows = np.arange(n)
-    thr = np.asarray(thresholds, dtype=float)
-    champ = np.zeros(n, dtype=np.int64)
-    for q in range(1, m):
-        d0 = b2[rows, champ] - b2[:, q]
-        dm = r2[rows, :, champ] - r2[:, :, q]
-        lam = d0 + np.clip(dm, -thr, thr).sum(axis=-1)
-        champ = np.where(lam > 0.0, champ, q)
-    d0_all = b2[rows, champ][:, None] - b2
-    dm_all = r2[rows, :, champ][:, :, None] - r2
-    lam_all = d0_all + np.clip(dm_all, -thr[:, None], thr[:, None]).sum(axis=-2)
-    lam_all[rows, champ] = np.inf
-    unanimous = np.all(lam_all > 0.0, axis=-1)
-    n_fallback = int(np.count_nonzero(~unanimous))
-    if n_fallback:
-        bad = np.nonzero(~unanimous)[0]
-        diff0 = b2[bad, :, None] - b2[bad, None, :]
-        diffm = r2[bad, :, :, None] - r2[bad, :, None, :]
-        lam_mat = diff0 + np.clip(
-            diffm, -thr[None, :, None, None], thr[None, :, None, None]
-        ).sum(axis=1)
-        totals = lam_mat.sum(axis=-1)
-        champ[bad] = np.argmax(totals, axis=-1)
-    return champ.reshape(lead_shape), n_fallback
+    r2 = np.asarray(rels, dtype=float).reshape(b2.shape[0], len(thresholds), m)
+    champ, n_fallback = _tournament(
+        np.ascontiguousarray(b2.T), np.ascontiguousarray(r2.T), thresholds
+    )
+    return champ.reshape(base.shape[:-1]), n_fallback
 
 
 def _check_psk(spec: ConstellationSpec) -> None:
@@ -220,14 +238,9 @@ def _check_relay_count(obs: DestObservation, cfg: DecoderConfig) -> None:
 
 
 def _scalar_statistics_psk(obs: DestObservation, spec: ConstellationSpec):
-    t0 = _psk_statistics(obs.sd_pair[0], obs.sd_pair[1], spec.points, obs.sd_noise_var)
-    rels = np.stack(
-        [
-            _psk_statistics(pair[0], pair[1], spec.points, nv)
-            for pair, nv in zip(obs.rd_pairs, obs.rd_noise_vars)
-        ]
-    ) if obs.rd_pairs else np.empty((0, spec.M))
-    return t0, rels
+    noise_vars = np.array((obs.sd_noise_var,) + obs.rd_noise_vars)[:, None, None]
+    stats = _psk_statistics(np.array((obs.sd_pair,) + obs.rd_pairs), spec.points, noise_vars)
+    return stats[0, 0], stats[1:, 0]
 
 
 def _scalar_statistics_qam(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig):
@@ -236,17 +249,11 @@ def _scalar_statistics_qam(obs: DestObservation, spec: ConstellationSpec, cfg: D
         raise ValueError("qam decoding requires cfg.qam_feedback")
     if len(fb.relay_prev_mags) != len(obs.rd_pairs):
         raise ValueError("qam_feedback must carry one magnitude per relay")
-    base = _qam_scores(
-        obs.sd_pair[0], obs.sd_pair[1], spec.points, obs.sd_noise_var,
-        fb.source_prev_mag,
-    )
-    rels = np.stack(
-        [
-            _qam_scores(pair[0], pair[1], spec.points, nv, mag)
-            for pair, nv, mag in zip(obs.rd_pairs, obs.rd_noise_vars, fb.relay_prev_mags)
-        ]
-    ) if obs.rd_pairs else np.empty((0, spec.M))
-    return base, rels
+    pairs = np.array((obs.sd_pair,) + obs.rd_pairs)
+    noise_vars = np.array((obs.sd_noise_var,) + obs.rd_noise_vars)[:, None]
+    prev_mags = np.array((fb.source_prev_mag,) + fb.relay_prev_mags)[:, None]
+    scores = _qam_scores(pairs[:, :1], pairs[:, 1:], spec.points, noise_vars, prev_mags)
+    return scores[0], scores[1:]
 
 
 def ml_decode_psk(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig) -> int:
@@ -256,7 +263,7 @@ def ml_decode_psk(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderCon
         raise ValueError(f"ml_decode_psk does not handle kind {cfg.kind!r}")
     _check_relay_count(obs, cfg)
     t0, rels = _scalar_statistics_psk(obs, spec)
-    obj = _ml_objective(t0, np.moveaxis(rels, 0, -2), cfg.effective_epsilons())
+    obj = _ml_objective(t0, rels, cfg.effective_epsilons())
     return int(np.argmax(obj))
 
 
@@ -278,7 +285,7 @@ def ml_decode_qam(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderCon
         raise ValueError(f"ml_decode_qam does not handle kind {cfg.kind!r}")
     _check_relay_count(obs, cfg)
     base, rels = _scalar_statistics_qam(obs, spec, cfg)
-    obj = _ml_objective(base, np.moveaxis(rels, 0, -2), cfg.effective_epsilons())
+    obj = _ml_objective(base, rels, cfg.effective_epsilons())
     return int(np.argmax(obj))
 
 
@@ -323,17 +330,16 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     y_rd = np.asarray(y_rd)
     if y_rd.shape[0] != len(cfg.epsilons) or len(rd_noise_vars) != len(cfg.epsilons):
         raise ValueError("relay counts of observations, noise vars, and config differ")
-    t0 = _psk_statistics(y_sd[..., :-1], y_sd[..., 1:], spec.points, sd_noise_var)
-    rels = np.stack(
-        [
-            _psk_statistics(y_rd[r][..., :-1], y_rd[r][..., 1:], spec.points, nv)
-            for r, nv in enumerate(rd_noise_vars)
-        ],
-        axis=-2,
-    ) if len(rd_noise_vars) else np.empty(t0.shape[:-1] + (0, spec.M))
     if cfg.kind == "pl":
-        winners, n_fallback = _pairwise_select(t0, rels, cfg.resolved_thresholds(spec.M))
-        return winners, n_fallback
+        points = spec.points[:, None]
+        t0 = _psk_statistics(y_sd, points, sd_noise_var)
+        rels = np.empty((spec.M, len(rd_noise_vars), t0.shape[1]))
+        for r, nv in enumerate(rd_noise_vars):
+            rels[:, r] = _psk_statistics(y_rd[r], points, nv)
+        winners, n_fallback = _tournament(t0, rels, cfg.resolved_thresholds(spec.M))
+        return winners.reshape(y_sd.shape[:-1] + (-1,)), n_fallback
+    t0 = _psk_statistics(y_sd, spec.points, sd_noise_var)
+    rels = [_psk_statistics(y, spec.points, nv) for y, nv in zip(y_rd, rd_noise_vars)]
     obj = _ml_objective(t0, rels, cfg.effective_epsilons())
     return np.argmax(obj, axis=-1), 0
 
@@ -356,6 +362,10 @@ def decode_qam_frames(
     magnitudes (source symbols and relay transmit decisions) instead, which
     must then be supplied as (B, L) and (R, B, L) arrays.  Returns (indices
     of shape (B, L), pairwise-fallback count).
+
+    The destination's estimate of a relay's chain depends only on that
+    relay's samples, so it runs first, for all relays at once, and fixes
+    every relay-link score before the direct link's decision-directed loop.
     """
     _check_qam(spec)
     y_sd = np.asarray(y_sd)
@@ -366,53 +376,43 @@ def decode_qam_frames(
     genie = cfg.kind == "genie_reference"
     if genie and (true_source_mags is None or true_relay_mags is None):
         raise ValueError("genie_reference decoding requires the true magnitudes")
-    n_batch, n_plus_1 = y_sd.shape
-    n_data = n_plus_1 - 1
+    n_batch, n_data = y_sd.shape[0], y_sd.shape[1] - 1
     mags = np.abs(spec.points)
-    epsilons = cfg.effective_epsilons()
-    thresholds = cfg.resolved_thresholds(spec.M)
+    rd_nv = np.reshape(np.asarray(rd_noise_vars, dtype=float), (n_rel, 1))
+    if genie:
+        source_mags = np.asarray(true_source_mags)
+        relay_mags = np.asarray(true_relay_mags)
+    else:
+        relay_mags = mags[demod_qam_frame(y_rd, spec, rd_nv)]
+    relay_prev = np.concatenate(
+        [np.ones((n_rel, n_batch, 1)), relay_mags[..., :-1]], axis=-1
+    )
+    rels = _qam_scores(y_rd[..., :-1, None], y_rd[..., 1:, None], spec.points,
+                       rd_nv[..., None, None], relay_prev[..., None])
+    pl = cfg.kind == "pl"
+    if pl:
+        thresholds = cfg.resolved_thresholds(spec.M)
+        rels = np.ascontiguousarray(rels.transpose(2, 3, 0, 1))  # (L, M, R, B)
+        points = spec.points[:, None]
+    else:
+        mixtures = [_mixture_log_scores(sc, eps)
+                    for sc, eps in zip(rels, cfg.effective_epsilons())]
+        points = spec.points
     decisions = np.empty((n_batch, n_data), dtype=np.int64)
     m0 = np.ones(n_batch)
-    mr = np.ones((n_rel, n_batch))
-    est_chain = np.ones((n_rel, n_batch))
     n_fallback = 0
     for n in range(n_data):
-        if n > 0:
-            if genie:
-                m0 = np.asarray(true_source_mags)[:, n - 1]
-                for r in range(n_rel):
-                    mr[r] = np.asarray(true_relay_mags)[r][:, n - 1]
-            else:
-                for r in range(n_rel):
-                    obj = qam_pair_objective(
-                        y_rd[r][:, n - 1, None], y_rd[r][:, n, None],
-                        rd_noise_vars[r], spec.points, est_chain[r][:, None],
-                    )
-                    est = np.argmin(obj, axis=-1)
-                    mr[r] = mags[est]
-                    est_chain[r] = mr[r]
-        base = _qam_scores(
-            y_sd[:, n, None], y_sd[:, n + 1, None], spec.points, sd_noise_var,
-            m0[:, None],
-        )
-        rels = np.stack(
-            [
-                _qam_scores(
-                    y_rd[r][:, n, None], y_rd[r][:, n + 1, None], spec.points,
-                    rd_noise_vars[r], mr[r][:, None],
-                )
-                for r in range(n_rel)
-            ],
-            axis=-2,
-        ) if n_rel else np.empty((n_batch, 0, spec.M))
-        if cfg.kind == "pl":
-            winners, nf = _pairwise_select(base, rels, thresholds)
+        if pl:
+            base = _qam_scores(y_sd[:, n], y_sd[:, n + 1], points, sd_noise_var, m0)
+            decisions[:, n], nf = _tournament(base, rels[n], thresholds)
             n_fallback += nf
         else:
-            winners = np.argmax(_ml_objective(base, rels, epsilons), axis=-1)
-        decisions[:, n] = winners
-        if not genie:
-            m0 = mags[decisions[:, n]]
+            base = _qam_scores(y_sd[:, n, None], y_sd[:, n + 1, None], points,
+                               sd_noise_var, m0[:, None])
+            for mix in mixtures:
+                base += mix[:, n]
+            decisions[:, n] = np.argmax(base, axis=-1)
+        m0 = source_mags[:, n] if genie else mags[decisions[:, n]]
     return decisions, n_fallback
 
 

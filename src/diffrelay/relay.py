@@ -6,6 +6,10 @@ and forwards them.  The average probability that a relay decision is wrong is
 the quantity the destination decoders need; it is measured here, either by
 Monte Carlo simulation or, for PSK, by numerical integration of the exact
 differential-detection error rate over the fading distribution.
+
+Kernel layouts.  The DPSK decision is one rounded phase per symbol.  The
+QAM chain is sequential in time and batched over all leading axes, so one
+call runs every relay's frames, (R, B, L+1), with per-relay noise variances.
 """
 
 from __future__ import annotations
@@ -61,25 +65,24 @@ class EpsilonEstimate:
 
 
 def demod_psk(obs: RelayObservation, spec: ConstellationSpec) -> int:
-    """Differential PSK decision from one sample pair; ties to lowest index."""
-    if spec.kind != "psk":
-        raise ValueError(f"expected a psk constellation, got {spec.kind!r}")
-    metric = np.real(np.conj(obs.y_curr) * obs.y_prev * spec.points)
-    return int(np.argmax(metric))
+    """Differential PSK decision from one sample pair."""
+    return int(demod_psk_frame(np.array([obs.y_prev, obs.y_curr]), spec)[0])
 
 
 def demod_psk_frame(y: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     """Vectorized differential PSK decisions over a frame.
 
     ``y`` has shape (..., L+1) including the reference symbol; the result has
-    shape (..., L) of symbol indices.
+    shape (..., L) of symbol indices.  The candidate maximizing
+    Re(z x_k), z = conj(y[n+1]) y[n], is the point nearest in phase to
+    conj(z): k = rint(-angle(z) M / 2 pi) mod M.
     """
     if spec.kind != "psk":
         raise ValueError(f"expected a psk constellation, got {spec.kind!r}")
     y = np.asarray(y)
     z = np.conj(y[..., 1:]) * y[..., :-1]
-    metric = np.real(z[..., None] * spec.points)
-    return np.argmax(metric, axis=-1)
+    k = np.rint(np.angle(z) * (-spec.M / (2.0 * math.pi)))
+    return k.astype(np.int64) % spec.M
 
 
 def qam_pair_objective(y_prev, y_curr, noise_var, points, prev_mag):
@@ -104,23 +107,27 @@ def demod_qam(obs: RelayObservation, spec: ConstellationSpec, prev_mag_est: floa
 def demod_qam_frame(
     y: np.ndarray,
     spec: ConstellationSpec,
-    noise_var: float,
+    noise_var: float | np.ndarray,
     genie_mags: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sequential differential QAM decisions over a frame.
 
     The previous-symbol magnitude is fed back from the relay's own decisions
     (starting from the unit reference), or taken from ``genie_mags`` holding
-    the true |x[n]| per data symbol when provided.
+    the true |x[n]| per data symbol when provided.  ``noise_var`` broadcasts
+    against the leading shape, as (R, 1) does for R relays' (R, B, L+1).
     """
     if spec.kind != "qam":
         raise ValueError(f"expected a qam constellation, got {spec.kind!r}")
-    if not noise_var > 0.0:
+    noise_var = np.asarray(noise_var, dtype=float)[..., None]
+    if not np.all(noise_var > 0.0):
         raise ValueError(f"noise_var must be > 0, got {noise_var}")
     y = np.asarray(y)
     n_data = y.shape[-1] - 1
     batch_shape = y.shape[:-1]
     decisions = np.empty(batch_shape + (n_data,), dtype=np.int64)
+    if decisions.size == 0:  # nothing to decide, e.g. a stack of no relays
+        return decisions
     mags = np.abs(spec.points)
     prev_mag = np.ones(batch_shape)
     for n in range(n_data):
@@ -139,7 +146,7 @@ def demod_qam_frame(
 def relay_process_frame(
     y: np.ndarray,
     spec: ConstellationSpec,
-    noise_var: float,
+    noise_var: float | np.ndarray,
     mode: str = "erroneous",
     true_indices: np.ndarray | None = None,
 ):
@@ -147,7 +154,8 @@ def relay_process_frame(
 
     Returns (v_r, decisions) where v_r is the relay's transmit frame including
     its reference symbol.  In genie mode the decisions are the true indices,
-    so v_r reproduces the source sequence exactly.
+    so v_r reproduces the source sequence exactly.  Several relays' frames go
+    in one call as (R, B, L+1), with ``noise_var`` as for ``demod_qam_frame``.
     """
     y = np.asarray(y)
     if y.shape[-1] < 2:
@@ -195,16 +203,13 @@ def _simulate_error_fraction(
             v_prev = x_prev
             v_curr = x_prev * x / np.abs(x_prev)
         h = draw_block_gain(link, rng, size=b)
-        e = draw_noise(link.noise_var, rng, size=(b, 2))
-        y_prev = h * v_prev + e[:, 0]
-        y_curr = h * v_curr + e[:, 1]
+        y = h[:, None] * np.stack([v_prev, v_curr], axis=-1)
+        y += draw_noise(link.noise_var, rng, size=(b, 2))
         if spec.kind == "psk":
-            metric = np.real(np.conj(y_curr)[:, None] * y_prev[:, None] * spec.points)
-            d = np.argmax(metric, axis=-1)
+            d = demod_psk_frame(y, spec)[:, 0]
         else:
             obj = qam_pair_objective(
-                y_prev[:, None], y_curr[:, None], link.noise_var,
-                spec.points, np.abs(x_prev)[:, None],
+                y[:, :1], y[:, 1:], link.noise_var, spec.points, np.abs(x_prev)[:, None]
             )
             d = np.argmin(obj, axis=-1)
         errors += int(np.count_nonzero(d != idx))

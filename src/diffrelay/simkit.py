@@ -11,6 +11,7 @@ channel draw.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import time
@@ -289,21 +290,21 @@ def _simulate_batch(plan, index, batch, n_frames, decoder_cfg):
 
     y_sd = through(topo.source_dest, v_s, _STREAM_SD)
 
-    y_rd = np.empty((plan.n_relays,) + y_sd.shape, dtype=complex)
-    relay_decisions = []
-    for r in range(plan.n_relays):
-        if genie_relay:
-            v_r, decisions = relay_process_frame(
-                v_s, spec, topo.source_relay[r].noise_var, mode="genie",
-                true_indices=idx,
-            )
-        else:
-            y_sr = through(topo.source_relay[r], v_s, _STREAM_SR0 + 2 * r)
-            v_r, decisions = relay_process_frame(
-                y_sr, spec, topo.source_relay[r].noise_var, mode="erroneous"
-            )
-        relay_decisions.append(decisions)
-        y_rd[r] = through(topo.relay_dest[r], v_r, _STREAM_RD0 + 2 * r)
+    n_rel = plan.n_relays
+    y_rd = np.empty((n_rel,) + y_sd.shape, dtype=complex)
+    relay_decisions = np.empty((n_rel,) + idx.shape, dtype=np.int64)
+    if n_rel:
+        y_sr = np.broadcast_to(v_s, y_rd.shape) if genie_relay else np.stack([
+            through(link, v_s, _STREAM_SR0 + 2 * r)
+            for r, link in enumerate(topo.source_relay)
+        ])
+        v_r, relay_decisions = relay_process_frame(
+            y_sr, spec, np.array([[link.noise_var] for link in topo.source_relay]),
+            mode="genie" if genie_relay else "erroneous",
+            true_indices=np.broadcast_to(idx, relay_decisions.shape),
+        )
+        for r, link in enumerate(topo.relay_dest):
+            y_rd[r] = through(link, v_r[r], _STREAM_RD0 + 2 * r)
 
     sd_nv = topo.source_dest.noise_var
     rd_nvs = tuple(link.noise_var for link in topo.relay_dest)
@@ -313,9 +314,7 @@ def _simulate_batch(plan, index, batch, n_frames, decoder_cfg):
         kwargs = {}
         if decoder_cfg.kind == "genie_reference":
             kwargs["true_source_mags"] = np.abs(spec.points[idx])
-            kwargs["true_relay_mags"] = np.abs(
-                np.stack([spec.points[d] for d in relay_decisions])
-            ) if plan.n_relays else np.empty((0,) + idx.shape)
+            kwargs["true_relay_mags"] = np.abs(spec.points[relay_decisions])
         decoded, fallbacks = decode_qam_frames(
             y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg, **kwargs
         )
@@ -355,36 +354,31 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     sum_sq = 0
     fallbacks = 0
     batch = 0
-    while errors < plan.trials.min_errors and trials < plan.trials.max_trials:
-        jobs = []
-        budget_frames = (plan.trials.max_trials - trials) // length
-        if budget_frames == 0:
-            break
-        for _ in range(_ROUND_BATCHES):
+
+    def simulate(job):
+        return _simulate_batch(plan, index, job[0], job[1], decoder_cfg)
+
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        run_jobs = pool.map if pool else map
+        while errors < plan.trials.min_errors and trials < plan.trials.max_trials:
+            jobs = []
+            budget_frames = (plan.trials.max_trials - trials) // length
             if budget_frames == 0:
                 break
-            take = min(frames_per_batch, budget_frames)
-            jobs.append((batch, take))
-            budget_frames -= take
-            batch += 1
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda job: _simulate_batch(plan, index, job[0], job[1], decoder_cfg),
-                        jobs,
-                    )
-                )
-        else:
-            results = [
-                _simulate_batch(plan, index, b, take, decoder_cfg) for b, take in jobs
-            ]
-        for (b, take), (err, sq, fb) in zip(jobs, results):
-            errors += err
-            sum_sq += sq
-            fallbacks += fb
-            n_frames += take
-            trials += take * length
+            for _ in range(_ROUND_BATCHES):
+                if budget_frames == 0:
+                    break
+                take = min(frames_per_batch, budget_frames)
+                jobs.append((batch, take))
+                budget_frames -= take
+                batch += 1
+            for (b, take), (err, sq, fb) in zip(jobs, list(run_jobs(simulate, jobs))):
+                errors += err
+                sum_sq += sq
+                fallbacks += fb
+                n_frames += take
+                trials += take * length
     n_eff = _effective_trials(trials, n_frames, errors, sum_sq)
     lo, hi = wilson_interval(errors, trials, n_eff)
     return SerPoint(snr_db, errors, trials, errors / trials, lo, hi, fallbacks)

@@ -872,3 +872,95 @@ def gaussian_pep_adaptive(points, p, q, eps, threshold, gbar_sd, gbar_rd):
         i3 = 0.0
         i4 = 0.0
     return min(max(i1 + i2 + i3 + i4, 0.0), 1.0)
+
+
+def pairwise_select_bruteforce(base, rels, thresholds):
+    """All-pairs form of the piecewise-linear rule, one instance at a time.
+
+    base (..., M), rels (..., R, M).  lam[i, j] = base_i - base_j plus the
+    relay differences clipped to each relay's threshold; the winner beats
+    every rival (lam > 0), and without one the largest row total wins.
+    Returns (winners, number of instances without a unanimous winner).
+    """
+    base = np.asarray(base, dtype=float)
+    m = base.shape[-1]
+    b2 = base.reshape(-1, m)
+    r2 = np.asarray(rels, dtype=float).reshape(b2.shape[0], len(thresholds), m)
+    thr = np.asarray(thresholds, dtype=float)[:, None, None]
+    winners = np.empty(b2.shape[0], dtype=np.int64)
+    n_fallback = 0
+    for i in range(b2.shape[0]):
+        diffm = r2[i][:, :, None] - r2[i][:, None, :]
+        lam = b2[i][:, None] - b2[i][None, :] + np.clip(diffm, -thr, thr).sum(axis=0)
+        beats = (lam > 0.0) | np.eye(m, dtype=bool)
+        unanimous = np.flatnonzero(beats.all(axis=1))
+        if unanimous.size:
+            winners[i] = unanimous[0]
+        else:
+            n_fallback += 1
+            winners[i] = np.argmax(lam.sum(axis=1))
+    return winners.reshape(base.shape[:-1]), n_fallback
+
+
+def _mixture_logsumexp(scores, eps):
+    """Relay mixture in the log domain, through scipy's logsumexp."""
+    m = scores.shape[-1]
+    if eps == 0.0:
+        return scores
+    out = np.empty_like(scores)
+    for k in range(m):
+        b = np.full(m, eps / (m - 1))
+        b[k] = 1.0 - eps
+        out[..., k] = sp.logsumexp(scores, axis=-1, b=b)
+    return out
+
+
+def decode_qam_frames_per_symbol(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, kind,
+                                 epsilons, thresholds, true_source_mags=None,
+                                 true_relay_mags=None):
+    """Symbol-by-symbol QAM frame decoder: every chain advanced inside one loop.
+
+    y_sd (B, L+1), y_rd (R, B, L+1).  At each symbol the destination first
+    re-decides each relay's previous symbol from that relay's last two
+    samples (or reads the true magnitudes for genie_reference), then scores
+    every link and decides.  It shares only the per-pair objective with the
+    production decoder.  Returns (decisions (B, L), fallback count).
+    """
+    from diffrelay.relay import qam_pair_objective
+
+    n_batch, n_data = y_sd.shape[0], y_sd.shape[1] - 1
+    n_rel = len(epsilons)
+    mags = np.abs(spec.points)
+    genie = kind == "genie_reference"
+    decisions = np.empty((n_batch, n_data), dtype=np.int64)
+    m0 = np.ones(n_batch)
+    mr = np.ones((n_rel, n_batch))
+    n_fallback = 0
+    for n in range(n_data):
+        if n > 0 and genie:
+            m0 = true_source_mags[:, n - 1]
+            mr = true_relay_mags[:, :, n - 1]
+        elif n > 0:
+            for r in range(n_rel):
+                obj = qam_pair_objective(y_rd[r][:, n - 1, None], y_rd[r][:, n, None],
+                                         rd_noise_vars[r], spec.points, mr[r][:, None])
+                mr[r] = mags[np.argmin(obj, axis=-1)]
+        base = -qam_pair_objective(y_sd[:, n, None], y_sd[:, n + 1, None], sd_noise_var,
+                                   spec.points, m0[:, None])
+        rels = np.stack([
+            -qam_pair_objective(y_rd[r][:, n, None], y_rd[r][:, n + 1, None],
+                                rd_noise_vars[r], spec.points, mr[r][:, None])
+            for r in range(n_rel)
+        ], axis=-2) if n_rel else np.empty((n_batch, 0, spec.M))
+        if kind == "pl":
+            winners, nf = pairwise_select_bruteforce(base, rels, thresholds)
+            n_fallback += nf
+        else:
+            obj = base.copy()
+            for r, eps in enumerate(epsilons):
+                obj += _mixture_logsumexp(rels[:, r, :], eps)
+            winners = np.argmax(obj, axis=-1)
+        decisions[:, n] = winners
+        if not genie:
+            m0 = mags[winners]
+    return decisions, n_fallback

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import exact_relay_llr, pdf_decode_psk, pdf_decode_qam
+from oracles import (
+    decode_qam_frames_per_symbol,
+    exact_relay_llr,
+    pairwise_select_bruteforce,
+    pdf_decode_psk,
+    pdf_decode_qam,
+)
 
 from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from diffrelay.constellation import make_psk, make_qam
@@ -593,3 +599,60 @@ class TestOpCounting:
             count_ops("ml", 1)
         with pytest.raises(ValueError):
             count_ops("map", 4)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("n_rel", [0, 1, 3])
+    @pytest.mark.parametrize("m", [4, 16, 32])
+    def test_pairwise_select_matches_all_pairs_rule(self, n_rel, m):
+        rng = make_stream(20, m, n_rel)
+        thresholds = tuple(0.5 + rng.random(n_rel))
+        fallbacks = 0
+        for lead in [(), (7,), (3, 5), (64,)]:
+            base = rng.normal(scale=0.3, size=lead + (m,))
+            rels = rng.normal(scale=2.0, size=lead + (n_rel, m))
+            got = _pairwise_select(base, rels, thresholds)
+            expect = pairwise_select_bruteforce(base, rels, thresholds)
+            assert np.shape(got[0]) == lead
+            np.testing.assert_array_equal(got[0], expect[0])
+            assert got[1] == expect[1]
+            fallbacks += got[1]
+        if n_rel == 3:
+            assert fallbacks > 0  # the fallback path ran
+
+    def qam_frames(self, rng, n_rel, n_batch=16, n_data=12, snr_db=12.0):
+        noise_var = 10.0 ** (-snr_db / 10.0)
+        link = LinkParams(1.0, noise_var)
+        idx = rng.integers(0, 16, size=(n_batch, n_data))
+        v = encode_qam_frame(idx, QAM16)
+
+        def through(frame):
+            return draw_block_gain(link, rng, size=(n_batch, 1)) * frame \
+                + draw_noise(noise_var, rng, size=(n_batch, n_data + 1))
+
+        relay_decisions = np.empty((n_rel, n_batch, n_data), dtype=np.int64)
+        y_rd = np.empty((n_rel, n_batch, n_data + 1), dtype=complex)
+        for r in range(n_rel):
+            v_r, relay_decisions[r] = relay_process_frame(through(v), QAM16, noise_var)
+            y_rd[r] = through(v_r)
+        rd_nvs = tuple(noise_var * (1.0 + 0.5 * r) for r in range(n_rel))
+        return idx, through(v), y_rd, noise_var, rd_nvs, relay_decisions
+
+    @pytest.mark.parametrize("n_rel", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["ml", "pl", "genie_reference"])
+    def test_qam_frames_match_per_symbol_oracle(self, kind, n_rel):
+        rng = make_stream(21, n_rel, len(kind))
+        idx, y_sd, y_rd, nv, rd_nvs, relay_decisions = self.qam_frames(rng, n_rel)
+        epsilons = tuple(0.02 + 0.03 * r for r in range(n_rel))
+        cfg = DecoderConfig(kind=kind, epsilons=epsilons)
+        mags = {}
+        if kind == "genie_reference":
+            mags = dict(true_source_mags=np.abs(QAM16.points[idx]),
+                        true_relay_mags=np.abs(QAM16.points[relay_decisions]))
+        got, got_fb = decode_qam_frames(y_sd, y_rd, nv, rd_nvs, QAM16, cfg, **mags)
+        expect, expect_fb = decode_qam_frames_per_symbol(
+            y_sd, y_rd, nv, rd_nvs, QAM16, kind, epsilons,
+            cfg.resolved_thresholds(16), **mags,
+        )
+        np.testing.assert_array_equal(got, expect)
+        assert got_fb == expect_fb

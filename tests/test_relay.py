@@ -113,6 +113,19 @@ class TestDemodPsk:
                 obs = RelayObservation(complex(y[b, n]), complex(y[b, n + 1]), 10.0 ** -0.8)
                 assert d[b, n] == demod_psk(obs, QPSK)
 
+    @pytest.mark.parametrize("m", range(2, 33))
+    def test_frame_matches_argmax_rule(self, m):
+        spec = make_psk(m)
+        rng = make_stream(4, m)
+        idx = rng.integers(0, m, size=(40, 16))
+        v = encode_psk_frame(idx, spec)
+        h = draw_block_gain(link_at(10.0), rng, size=(40, 1))
+        for y in (h * v, h * v + draw_noise(0.1, rng, size=v.shape)):
+            z = np.conj(y[..., 1:]) * y[..., :-1]
+            expect = np.argmax(np.real(z[..., None] * spec.points), axis=-1)
+            np.testing.assert_array_equal(demod_psk_frame(y, spec), expect)
+        np.testing.assert_array_equal(demod_psk_frame(h * v, spec), idx)
+
     def test_error_rate_matches_density_integration(self):
         # Independent oracle: integrate the conditional differential-detection
         # error rate against the exponential density of the instantaneous SNR.
@@ -338,6 +351,15 @@ class TestCalibrateEpsilon:
         a = calibrate_epsilon(link_at(18.0), QPSK, trials=100_000, seed=7)
         b = calibrate_epsilon(link_at(18.0), QPSK, trials=100_000, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("spec, snr_db, errors", [
+        (QPSK, 10.0, 28590), (make_psk(16), 20.0, 38182), (QAM16, 15.0, 59702),
+    ])
+    def test_pinned_error_counts(self, spec, snr_db, errors):
+        # counts of the inline per-candidate DPSK decision this calibration
+        # used before it went through demod_psk_frame
+        est = calibrate_epsilon(link_at(snr_db), spec, trials=200_000, seed=5)
+        assert (est.value, est.trials) == (errors / 200_000, 200_000)
 
 
 class TestEpsilonTable:

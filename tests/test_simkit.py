@@ -530,3 +530,103 @@ class TestAgainstAnalysis:
         )
         assert genie.ser < dd.ser
         assert genie.ci_high < dd.ci_low
+
+
+# (errors, trials, fallbacks) per grid point of golden_plan, as produced by the
+# decoders before their kernels were rewritten (candidate-major tournament,
+# closed-form mixture and DPSK decision, hoisted QAM chains).  pl with no
+# relay could not run then; its counts equal ml's, as they must.
+GOLDEN_COUNTS = {
+    ('psk4', 'ml', 0, 'all_equal'): ((1103, 4096, 0), (286, 4096, 0), (39, 4096, 0)),
+    ('psk4', 'ml', 1, 'all_equal'): ((898, 4096, 0), (101, 4096, 0), (1, 4096, 0)),
+    ('psk4', 'ml', 3, 'all_equal'): ((567, 4096, 0), (19, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'ml', 1, 'sr_infinite'): ((506, 4096, 0), (49, 4096, 0), (1, 4096, 0)),
+    ('psk4', 'ml', 3, 'sr_infinite'): ((98, 4096, 0), (0, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'pl', 0, 'all_equal'): ((1103, 4096, 0), (286, 4096, 0), (39, 4096, 0)),
+    ('psk4', 'pl', 1, 'all_equal'): ((945, 4096, 28), (104, 4096, 1), (1, 4096, 0)),
+    ('psk4', 'pl', 3, 'all_equal'): ((583, 4096, 23), (15, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'pl', 1, 'sr_infinite'): ((505, 4096, 4), (48, 4096, 0), (1, 4096, 0)),
+    ('psk4', 'pl', 3, 'sr_infinite'): ((99, 4096, 1), (0, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'naive_eps0', 0, 'all_equal'): ((1103, 4096, 0), (286, 4096, 0), (39, 4096, 0)),
+    ('psk4', 'naive_eps0', 1, 'all_equal'): ((1016, 4096, 0), (168, 4096, 0), (20, 4096, 0)),
+    ('psk4', 'naive_eps0', 3, 'all_equal'): ((768, 4096, 0), (112, 4096, 0), (19, 4096, 0)),
+    ('psk4', 'naive_eps0', 1, 'sr_infinite'): ((502, 4096, 0), (48, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'naive_eps0', 3, 'sr_infinite'): ((88, 4096, 0), (0, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'genie_reference', 0, 'all_equal'): ((1103, 4096, 0), (286, 4096, 0), (39, 4096, 0)),
+    ('psk4', 'genie_reference', 1, 'all_equal'): ((898, 4096, 0), (101, 4096, 0), (1, 4096, 0)),
+    ('psk4', 'genie_reference', 3, 'all_equal'): ((567, 4096, 0), (19, 4096, 0), (0, 4096, 0)),
+    ('psk4', 'genie_reference', 1, 'sr_infinite'): ((506, 4096, 0), (49, 4096, 0), (1, 4096, 0)),
+    ('psk4', 'genie_reference', 3, 'sr_infinite'): ((98, 4096, 0), (0, 4096, 0), (0, 4096, 0)),
+    ('psk16', 'ml', 0, 'all_equal'): ((2996, 4096, 0), (1797, 4096, 0), (521, 4096, 0)),
+    ('psk16', 'ml', 1, 'all_equal'): ((2935, 4096, 0), (1628, 4096, 0), (245, 4096, 0)),
+    ('psk16', 'ml', 3, 'all_equal'): ((2751, 4096, 0), (1221, 4096, 0), (97, 4096, 0)),
+    ('psk16', 'ml', 1, 'sr_infinite'): ((2519, 4096, 0), (998, 4096, 0), (92, 4096, 0)),
+    ('psk16', 'ml', 3, 'sr_infinite'): ((1963, 4096, 0), (346, 4096, 0), (5, 4096, 0)),
+    ('psk16', 'pl', 0, 'all_equal'): ((2996, 4096, 0), (1797, 4096, 0), (521, 4096, 0)),
+    ('psk16', 'pl', 1, 'all_equal'): ((2947, 4096, 36), (1668, 4096, 36), (256, 4096, 7)),
+    ('psk16', 'pl', 3, 'all_equal'): ((2815, 4096, 138), (1266, 4096, 41), (87, 4096, 0)),
+    ('psk16', 'pl', 1, 'sr_infinite'): ((2526, 4096, 1), (999, 4096, 0), (92, 4096, 0)),
+    ('psk16', 'pl', 3, 'sr_infinite'): ((1967, 4096, 2), (340, 4096, 0), (4, 4096, 0)),
+    ('psk16', 'naive_eps0', 0, 'all_equal'): ((2996, 4096, 0), (1797, 4096, 0), (521, 4096, 0)),
+    ('psk16', 'naive_eps0', 1, 'all_equal'): ((2953, 4096, 0), (1695, 4096, 0), (401, 4096, 0)),
+    ('psk16', 'naive_eps0', 3, 'all_equal'): ((2831, 4096, 0), (1383, 4096, 0), (346, 4096, 0)),
+    ('psk16', 'naive_eps0', 1, 'sr_infinite'): ((2526, 4096, 0), (998, 4096, 0), (92, 4096, 0)),
+    ('psk16', 'naive_eps0', 3, 'sr_infinite'): ((1966, 4096, 0), (340, 4096, 0), (4, 4096, 0)),
+    ('psk16', 'genie_reference', 0, 'all_equal'): ((2996, 4096, 0), (1797, 4096, 0), (521, 4096, 0)),
+    ('psk16', 'genie_reference', 1, 'all_equal'): ((2935, 4096, 0), (1628, 4096, 0), (245, 4096, 0)),
+    ('psk16', 'genie_reference', 3, 'all_equal'): ((2751, 4096, 0), (1221, 4096, 0), (97, 4096, 0)),
+    ('psk16', 'genie_reference', 1, 'sr_infinite'): ((2519, 4096, 0), (998, 4096, 0), (92, 4096, 0)),
+    ('psk16', 'genie_reference', 3, 'sr_infinite'): ((1963, 4096, 0), (346, 4096, 0), (5, 4096, 0)),
+    ('qam16', 'ml', 0, 'all_equal'): ((3180, 4096, 0), (1609, 4096, 0), (394, 4096, 0)),
+    ('qam16', 'ml', 1, 'all_equal'): ((3311, 4096, 0), (1382, 4096, 0), (141, 4096, 0)),
+    ('qam16', 'ml', 3, 'all_equal'): ((3370, 4096, 0), (991, 4096, 0), (41, 4096, 0)),
+    ('qam16', 'ml', 1, 'sr_infinite'): ((2896, 4096, 0), (836, 4096, 0), (71, 4096, 0)),
+    ('qam16', 'ml', 3, 'sr_infinite'): ((2658, 4096, 0), (293, 4096, 0), (2, 4096, 0)),
+    ('qam16', 'pl', 0, 'all_equal'): ((3180, 4096, 0), (1609, 4096, 0), (394, 4096, 0)),
+    ('qam16', 'pl', 1, 'all_equal'): ((3317, 4096, 5), (1396, 4096, 21), (153, 4096, 7)),
+    ('qam16', 'pl', 3, 'all_equal'): ((3390, 4096, 38), (987, 4096, 71), (42, 4096, 5)),
+    ('qam16', 'pl', 1, 'sr_infinite'): ((2888, 4096, 2), (832, 4096, 3), (70, 4096, 3)),
+    ('qam16', 'pl', 3, 'sr_infinite'): ((2624, 4096, 16), (287, 4096, 11), (3, 4096, 1)),
+    ('qam16', 'naive_eps0', 0, 'all_equal'): ((3180, 4096, 0), (1609, 4096, 0), (394, 4096, 0)),
+    ('qam16', 'naive_eps0', 1, 'all_equal'): ((3317, 4096, 0), (1440, 4096, 0), (235, 4096, 0)),
+    ('qam16', 'naive_eps0', 3, 'all_equal'): ((3381, 4096, 0), (1073, 4096, 0), (208, 4096, 0)),
+    ('qam16', 'naive_eps0', 1, 'sr_infinite'): ((2888, 4096, 0), (833, 4096, 0), (67, 4096, 0)),
+    ('qam16', 'naive_eps0', 3, 'sr_infinite'): ((2607, 4096, 0), (258, 4096, 0), (1, 4096, 0)),
+    ('qam16', 'genie_reference', 0, 'all_equal'): ((2892, 4096, 0), (1414, 4096, 0), (359, 4096, 0)),
+    ('qam16', 'genie_reference', 1, 'all_equal'): ((2999, 4096, 0), (1207, 4096, 0), (121, 4096, 0)),
+    ('qam16', 'genie_reference', 3, 'all_equal'): ((3128, 4096, 0), (800, 4096, 0), (31, 4096, 0)),
+    ('qam16', 'genie_reference', 1, 'sr_infinite'): ((2441, 4096, 0), (675, 4096, 0), (46, 4096, 0)),
+    ('qam16', 'genie_reference', 3, 'sr_infinite'): ((1847, 4096, 0), (211, 4096, 0), (1, 4096, 0)),
+}
+
+
+def golden_plan(name, kind, n_relays, tying):
+    spec = {"psk4": QPSK, "psk16": make_psk(16), "qam16": QAM16}[name]
+    return ExperimentPlan(
+        spec, DecoderConfig(kind, epsilons=(0.05,) * n_relays), (6.0, 14.0, 22.0),
+        n_relays=n_relays, tying=tying, trials=TrialsPolicy(1000, 4096), seed=11,
+        frame_len=16,
+    )
+
+
+class TestGoldenCounts:
+    """Every decision of the frame kernels, pinned through the point counts."""
+
+    def test_counts_are_pinned(self):
+        got = {}
+        for key in GOLDEN_COUNTS:
+            curve = run_sweep(golden_plan(*key))
+            got[key] = tuple((p.errors, p.trials, p.fallbacks) for p in curve.points)
+        moved = {key: (GOLDEN_COUNTS[key], got[key])
+                 for key in GOLDEN_COUNTS if got[key] != GOLDEN_COUNTS[key]}
+        assert not moved
+
+    def test_one_pool_per_point_keeps_results(self):
+        plan = ExperimentPlan(
+            QPSK, DecoderConfig("pl", epsilons=(0.001,)), (30.0,),
+            trials=TrialsPolicy(10_000, 150_000), seed=4,
+        )
+        one = run_point(plan, 0, workers=1)
+        two = run_point(plan, 0, workers=2)
+        assert one.trials > 2 * 8 * 8192  # three rounds through the same pool
+        assert one == two
