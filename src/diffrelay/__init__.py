@@ -1,6 +1,6 @@
 """Differential decode-and-forward relay simulator and SER analysis toolkit.
 
-Modules: specfun (series and special-function kernels), constellation
+Modules: specfun (asymptotic-series kernels), constellation
 (PSK/QAM alphabets), diffmod (differential mapping), channel (fading links
 and counter-based streams), relay (demodulate-and-forward and epsilon
 calibration), decoders (destination ML and piecewise-linear decoders),
@@ -15,7 +15,6 @@ from .analysis import (
     fit_diversity_slope,
     pep_asymptotic_conditional,
     pep_asymptotic_multirelay,
-    pep_closed_form,
     pep_exact,
     pep_quadrature_approx,
     ser_nearest_neighbor,
@@ -64,7 +63,6 @@ __all__ = [
     "make_stream",
     "pep_asymptotic_conditional",
     "pep_asymptotic_multirelay",
-    "pep_closed_form",
     "pep_exact",
     "pep_quadrature_approx",
     "run_point",

@@ -10,7 +10,8 @@ curve rows with the fixed column order
 
 plus a JSON summary holding slope fits and curve comparisons.  Analytic
 rows (closed_form, quadrature, asymptotic) carry errors=0, trials=0 and
-collapse the interval onto the value.
+collapse the interval onto the value; closed_form rows are the paper's
+closed-form SER evaluated by ``analysis.pep_exact``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .analysis import (
     SnrPoint,
     fit_diversity_slope,
     pep_asymptotic_multirelay,
-    pep_closed_form,
+    pep_exact,
     pep_quadrature_approx,
     ser_nearest_neighbor,
 )
@@ -412,11 +413,8 @@ def _analysis_row_value(source, job, snr_db, eps_by_key):
             f"no calibrated epsilon for {spec.kind}-{spec.M} at {snr_db:g} dB; "
             "run the calibrate step first"
         )
-    cfg = PepTermsConfig(
-        SnrPoint.from_db(snr_db, snr_db, snr_db), eps_by_key[key], spec.M,
-        truncation=SeriesTruncation(max_terms=2048, rel_tol=1e-8),
-    )
-    pep_fn = pep_closed_form if source == "closed_form" else pep_quadrature_approx
+    cfg = PepTermsConfig(SnrPoint.from_db(snr_db, snr_db, snr_db), eps_by_key[key], spec.M)
+    pep_fn = pep_exact if source == "closed_form" else pep_quadrature_approx
     return ser_nearest_neighbor(spec, pep_fn, cfg)
 
 

@@ -19,7 +19,7 @@ from diffrelay.analysis import (
     fit_diversity_slope,
     pep_asymptotic_conditional,
     pep_asymptotic_multirelay,
-    pep_closed_form,
+    pep_exact,
     pep_quadrature_approx,
     ser_nearest_neighbor,
 )
@@ -202,9 +202,8 @@ def test_criterion_4_analysis_vs_simulation():
         cfg = PepTermsConfig(
             SnrPoint.from_db(p.snr_db, p.snr_db, p.snr_db),
             eps_by_db[round(p.snr_db, 6)], spec.M,
-            truncation=SeriesTruncation(max_terms=2048, rel_tol=1e-8),
         )
-        closed = ser_nearest_neighbor(spec, pep_closed_form, cfg).value
+        closed = ser_nearest_neighbor(spec, pep_exact, cfg).value
         quad = ser_nearest_neighbor(spec, pep_quadrature_approx, cfg).value
         half = (p.ci_high - p.ci_low) / 2.0
         if abs(closed - p.ser) > 3.0 * half:

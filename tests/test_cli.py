@@ -6,6 +6,7 @@ import os
 import pytest
 import yaml
 
+from diffrelay.analysis import PepTermsConfig, SnrPoint, pep_exact, ser_nearest_neighbor
 from diffrelay.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -17,6 +18,7 @@ from diffrelay.cli import (
     read_rows,
     write_rows,
 )
+from diffrelay.constellation import make_psk
 from diffrelay.relay import load_epsilon_table
 
 
@@ -35,6 +37,17 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def assert_closed_form_rows_exact(csv_path, eps_path, grid_db):
+    """Every closed_form row equals the exact-law SER at its calibrated epsilon."""
+    eps = {key: est.value for key, est in load_epsilon_table(str(eps_path)).items()}
+    rows = [r for r in read_rows(str(csv_path)) if r["source"] == "closed_form"]
+    assert sorted({r["snr_db"] for r in rows}) == list(grid_db)
+    for row in rows:
+        db = row["snr_db"]
+        cfg = PepTermsConfig(SnrPoint.from_db(db, db, db), eps[("psk", row["M"], db)], row["M"])
+        assert row["ser"] == ser_nearest_neighbor(make_psk(row["M"]), pep_exact, cfg).value
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +333,26 @@ class TestSweepCommand:
         for source in ("closed_form", "quadrature"):
             for row in (r for r in rows if r["source"] == source):
                 assert 0.7 < row["ser"] / mc[row["snr_db"]]["ser"] < 1.6
+
+    def test_closed_form_rows_are_the_exact_law(self, sweep_outputs):
+        tmp, _ = sweep_outputs
+        assert_closed_form_rows_exact(tmp / "run.csv", tmp / "eps.csv", [10.0, 14.0])
+
+    def test_fig6_preset_closed_form_at_high_snr(self, tmp_path):
+        # psk-32 at 23 dB once overflowed the series engine's convergence
+        # check, so the sweep died with a traceback and wrote no output
+        doc = {
+            "version": 1, "preset": "fig6", "grid_db": [23.0], "seed": 7,
+            "trials": {"min_errors": 10, "max_trials": 20_000},
+            "calibration": {"path": str(tmp_path / "eps.csv"), "grid_db": [23.0]},
+            "output": {"dir": str(tmp_path), "basename": "run"},
+        }
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert main(["calibrate", path]) == 0
+        assert main(["sweep", path]) == 0
+        rows = read_rows(str(tmp_path / "run.csv"))
+        assert sorted(r["M"] for r in rows if r["source"] == "closed_form") == [4, 16, 32]
+        assert_closed_form_rows_exact(tmp_path / "run.csv", tmp_path / "eps.csv", [23.0])
 
     def test_csv_round_trips_byte_identically(self, sweep_outputs, tmp_path):
         tmp, _ = sweep_outputs

@@ -17,7 +17,7 @@ from diffrelay.analysis import (
     PepTermsConfig,
     SnrPoint,
     fit_diversity_slope,
-    pep_closed_form,
+    pep_exact,
     ser_nearest_neighbor,
 )
 from diffrelay.channel import LinkParams
@@ -470,7 +470,7 @@ class TestAgainstAnalysis:
             cfg = PepTermsConfig(
                 SnrPoint.from_db(pt.snr_db, pt.snr_db, pt.snr_db), eps, 4
             )
-            approx = ser_nearest_neighbor(QPSK, pep_closed_form, cfg).value
+            approx = ser_nearest_neighbor(QPSK, pep_exact, cfg).value
             assert abs(z_score(pt, approx)) < 3.0
 
     def test_erroneous_relay_keeps_genie_slope(self):
