@@ -300,6 +300,115 @@ def event_monte_carlo(points, p, q, eps, threshold, snr_sd, snr_rd, trials,
 # quadrature.  The two-dimensional SNR average of the product terms factors
 # link by link, which the evaluation exploits; the quadrature result is
 # algebraically identical to the full product grid.
+#
+# The scalar evaluators below are the finite-series definitions the series
+# builds on (incomplete gamma at integer order, Laguerre polynomials by the
+# three-term recurrence, and their log-domain forms for the deep tails).  The
+# tables further down are their vectorised counterparts.
+
+
+def _check_finite(name, x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _check_order(name, v, minimum):
+    if int(v) != v or v < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    return int(v)
+
+
+def incomplete_gamma_upper(v, y):
+    """Gamma(v, y) = (v-1)! e^{-y} sum_{k<v} y^k / k!, integer v >= 1, y >= 0."""
+    v = _check_order("v", v, 1)
+    y = _check_finite("y", y)
+    if y < 0.0:
+        raise ValueError(f"y must be >= 0, got {y}")
+    acc = 0.0
+    term = 1.0
+    for k in range(v):
+        if k > 0:
+            term *= y / k
+        acc += term
+    return math.factorial(v - 1) * math.exp(-y) * acc
+
+
+def incomplete_gamma_lower(v, y):
+    """gamma(v, y) = (v-1)! - Gamma(v, y)."""
+    v = _check_order("v", v, 1)
+    return math.factorial(v - 1) - incomplete_gamma_upper(v, y)
+
+
+def laguerre(n, x):
+    """L_n(x) by the three-term recurrence."""
+    n = _check_order("n", n, 0)
+    x = _check_finite("x", x)
+    if n == 0:
+        return 1.0
+    prev = 1.0
+    curr = 1.0 - x
+    for k in range(1, n):
+        prev, curr = curr, ((2 * k + 1 - x) * curr - k * prev) / (k + 1)
+    return curr
+
+
+def laguerre_generalized(alpha, n, x):
+    """L_n^alpha(x) by the three-term recurrence; C(n+alpha, n) at x = 0."""
+    alpha = _check_order("alpha", alpha, 0)
+    n = _check_order("n", n, 0)
+    x = _check_finite("x", x)
+    if n == 0:
+        return 1.0
+    prev = 1.0
+    curr = 1.0 + alpha - x
+    for k in range(1, n):
+        prev, curr = curr, ((2 * k + 1 + alpha - x) * curr - (k + alpha) * prev) / (k + 1)
+    return curr
+
+
+def log_incomplete_gamma_upper(v, y):
+    """ln Gamma(v, y) for integer v >= 1, safe where Gamma(v, y) underflows."""
+    v = _check_order("v", v, 1)
+    y = _check_finite("y", y)
+    if y < 0.0:
+        raise ValueError(f"y must be >= 0, got {y}")
+    if y == 0.0:
+        return math.lgamma(v)
+    q = sp.gammaincc(v, y)
+    if q > 1e-280:
+        return math.lgamma(v) + math.log(q)
+    # The regularised form underflowed; sum the finite series in log domain.
+    ks = np.arange(v)
+    return float(-y + sp.logsumexp(ks * math.log(y) - sp.gammaln(ks + 1)))
+
+
+def log_incomplete_gamma_lower(v, y):
+    """ln gamma(v, y) for integer v >= 1, safe in the deep left tail.
+
+    Where the regularised lower gamma underflows (y << v), the series
+    P(v, y) = y^v e^{-y} / Gamma(v+1) * sum_j y^j / prod_{t<=j}(v+t)
+    converges fast.
+    """
+    v = _check_order("v", v, 1)
+    y = _check_finite("y", y)
+    if y < 0.0:
+        raise ValueError(f"y must be >= 0, got {y}")
+    if y == 0.0:
+        return -math.inf
+    p = sp.gammainc(v, y)
+    if p > 1e-280:
+        return math.lgamma(v) + math.log(p)
+    acc = 0.0
+    term = 1.0
+    for j in range(1, 10_000):
+        term *= y / (v + j)
+        acc += term
+        if term < 1e-18 * (1.0 + acc):
+            break
+    log_p = v * math.log(y) - y - math.lgamma(v + 1.0) + math.log1p(acc)
+    return math.lgamma(v) + log_p
 
 
 def _log_laguerre_neg(n_max, x, alpha=0):
