@@ -12,14 +12,18 @@ average decision error probability.  Two decoder families are provided:
 
 QAM decoding needs the magnitude of each link's previous symbol; those are
 fed back either from the destination's own decisions (decision-directed) or
-from the true values (genie reference).
+from the true values (genie reference).  Frame decoding carries the previous
+symbol as a row index into the relay module's ring table, so every QAM score
+is a table lookup (``relay.qam_objective``).
 
 Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
 (R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
 tournament runs candidate-major, (M, n) and (M, R, n), carrying the
 champion's values instead of gathering them.  QAM frames score and mix every
 relay link over (R, B, L, M) before the per-symbol loop, which keeps only
-the direct link's score, the combination and the decision.
+the direct link's score, the combination and the decision; B may be a
+worker's whole share of a round, so the loop's overhead is paid once per
+share.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .channel import make_stream
 from .constellation import ConstellationSpec, make_psk
-from .relay import demod_qam_frame, qam_pair_objective
+from .relay import demod_qam_frame, qam_objective, qam_pair_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
@@ -130,11 +134,6 @@ def _psk_statistics(y, points, noise_var):
     if points.ndim == 1:
         return np.real(z[..., None] * points) / noise_var
     return np.real(z.ravel() * points) / noise_var
-
-
-def _qam_scores(y_prev, y_curr, points, noise_var, prev_mag):
-    """Per-candidate log-density scores for one QAM link (larger is better)."""
-    return -qam_pair_objective(y_prev, y_curr, noise_var, points, prev_mag)
 
 
 def _mixture_log_scores(scores, eps):
@@ -252,7 +251,7 @@ def _scalar_statistics_qam(obs: DestObservation, spec: ConstellationSpec, cfg: D
     pairs = np.array((obs.sd_pair,) + obs.rd_pairs)
     noise_vars = np.array((obs.sd_noise_var,) + obs.rd_noise_vars)[:, None]
     prev_mags = np.array((fb.source_prev_mag,) + fb.relay_prev_mags)[:, None]
-    scores = _qam_scores(pairs[:, :1], pairs[:, 1:], spec.points, noise_vars, prev_mags)
+    scores = -qam_pair_objective(pairs[:, :1], pairs[:, 1:], noise_vars, spec.points, prev_mags)
     return scores[0], scores[1:]
 
 
@@ -351,17 +350,17 @@ def decode_qam_frames(
     rd_noise_vars,
     spec,
     cfg,
-    true_source_mags=None,
-    true_relay_mags=None,
+    true_source_idx=None,
+    true_relay_idx=None,
 ):
     """Decode whole QAM frames, running the magnitude feedback chains.
 
     y_sd has shape (B, L+1) and y_rd shape (R, B, L+1).  Decision-directed
-    operation feeds each link's previous-magnitude estimate from the
-    destination's own decisions; the genie_reference kind reads the true
-    magnitudes (source symbols and relay transmit decisions) instead, which
-    must then be supplied as (B, L) and (R, B, L) arrays.  Returns (indices
-    of shape (B, L), pairwise-fallback count).
+    operation feeds each link's previous symbol from the destination's own
+    decisions; the genie_reference kind reads the true ones (source symbols
+    and relay transmit decisions) instead, which must then be supplied as
+    (B, L) and (R, B, L) index arrays.  Returns (indices of shape (B, L),
+    pairwise-fallback count).
 
     The destination's estimate of a relay's chain depends only on that
     relay's samples, so it runs first, for all relays at once, and fixes
@@ -374,45 +373,36 @@ def decode_qam_frames(
     if y_rd.shape[0] != n_rel or len(rd_noise_vars) != n_rel:
         raise ValueError("relay counts of observations, noise vars, and config differ")
     genie = cfg.kind == "genie_reference"
-    if genie and (true_source_mags is None or true_relay_mags is None):
-        raise ValueError("genie_reference decoding requires the true magnitudes")
+    if genie and (true_source_idx is None or true_relay_idx is None):
+        raise ValueError("genie_reference decoding requires the true indices")
     n_batch, n_data = y_sd.shape[0], y_sd.shape[1] - 1
-    mags = np.abs(spec.points)
     rd_nv = np.reshape(np.asarray(rd_noise_vars, dtype=float), (n_rel, 1))
-    if genie:
-        source_mags = np.asarray(true_source_mags)
-        relay_mags = np.asarray(true_relay_mags)
-    else:
-        relay_mags = mags[demod_qam_frame(y_rd, spec, rd_nv)]
-    relay_prev = np.concatenate(
-        [np.ones((n_rel, n_batch, 1)), relay_mags[..., :-1]], axis=-1
-    )
-    rels = _qam_scores(y_rd[..., :-1, None], y_rd[..., 1:, None], spec.points,
-                       rd_nv[..., None, None], relay_prev[..., None])
+    relay_idx = true_relay_idx if genie else demod_qam_frame(y_rd, spec, rd_nv)
+    relay_rows = np.zeros((n_rel, n_batch, n_data), dtype=np.int64)
+    np.add(relay_idx[..., :-1], 1, out=relay_rows[..., 1:])
+    rels = qam_objective(y_rd[..., :-1], y_rd[..., 1:], rd_nv[..., None], spec, relay_rows)
+    np.negative(rels, out=rels)
     pl = cfg.kind == "pl"
     if pl:
         thresholds = cfg.resolved_thresholds(spec.M)
         rels = np.ascontiguousarray(rels.transpose(2, 3, 0, 1))  # (L, M, R, B)
-        points = spec.points[:, None]
     else:
         mixtures = [_mixture_log_scores(sc, eps)
                     for sc, eps in zip(rels, cfg.effective_epsilons())]
-        points = spec.points
     decisions = np.empty((n_batch, n_data), dtype=np.int64)
-    m0 = np.ones(n_batch)
+    row = np.zeros(n_batch, dtype=np.int64)
     n_fallback = 0
     for n in range(n_data):
+        base = qam_objective(y_sd[:, n], y_sd[:, n + 1], sd_noise_var, spec, row)
+        np.negative(base, out=base)
         if pl:
-            base = _qam_scores(y_sd[:, n], y_sd[:, n + 1], points, sd_noise_var, m0)
-            decisions[:, n], nf = _tournament(base, rels[n], thresholds)
+            decisions[:, n], nf = _tournament(base.T, rels[n], thresholds)
             n_fallback += nf
         else:
-            base = _qam_scores(y_sd[:, n, None], y_sd[:, n + 1, None], points,
-                               sd_noise_var, m0[:, None])
             for mix in mixtures:
                 base += mix[:, n]
             decisions[:, n] = np.argmax(base, axis=-1)
-        m0 = source_mags[:, n] if genie else mags[decisions[:, n]]
+        row = (true_source_idx[:, n] if genie else decisions[:, n]) + 1
     return decisions, n_fallback
 
 

@@ -10,11 +10,20 @@ differential-detection error rate over the fading distribution.
 Kernel layouts.  The DPSK decision is one rounded phase per symbol.  The
 QAM chain is sequential in time and batched over all leading axes, so one
 call runs every relay's frames, (R, B, L+1), with per-relay noise variances.
+
+Ring tables.  The QAM objective of a sample pair depends on the previous
+symbol only through its magnitude, so each alphabet gets one cached table
+with M+1 rows: row 0 follows the unit reference and row p+1 follows point p.
+A row holds the candidates scaled by the previous magnitude, log(denom) and
+1/denom, and ``qam_objective`` looks rows up by index instead of taking a
+complex division and a log per call.  ``qam_pair_objective`` is the literal
+formula, kept for the per-symbol API and as the kernel's test oracle.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,8 +34,6 @@ from scipy import integrate
 from .channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from .constellation import ConstellationSpec
 from .diffmod import encode_psk_frame, encode_qam_frame
-
-_FRAME_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,31 @@ def qam_pair_objective(y_prev, y_curr, noise_var, points, prev_mag):
     return np.log(denom) + resid / (denom * noise_var)
 
 
+@functools.lru_cache(maxsize=16)
+def _ring_table(spec: ConstellationSpec):
+    """(points / prev_mag, log(denom), 1/denom), one row per previous symbol."""
+    prev_mag = np.concatenate(([1.0], np.abs(spec.points)))[:, None]
+    denom = 1.0 + np.abs(spec.points) ** 2 / prev_mag**2
+    return spec.points / prev_mag, np.log(denom), 1.0 / denom
+
+
+def qam_objective(y_prev, y_curr, noise_var, spec: ConstellationSpec, prev_row):
+    """``qam_pair_objective`` from the ring table, candidates on a new last axis.
+
+    ``prev_row`` holds each pair's table row (0 after the reference, p+1
+    after point p); the samples and ``noise_var`` broadcast against it.
+    """
+    scaled, log_denom, inv_denom = _ring_table(spec)
+    d = np.multiply(np.asarray(y_prev)[..., None], scaled[prev_row])
+    d -= np.asarray(y_curr)[..., None]
+    obj = np.square(d.real)
+    obj += np.square(d.imag)
+    obj *= inv_denom[prev_row]
+    obj /= np.asarray(noise_var, dtype=float)[..., None]
+    obj += log_denom[prev_row]
+    return obj
+
+
 def demod_qam(obs: RelayObservation, spec: ConstellationSpec, prev_mag_est: float) -> int:
     """Differential QAM decision given an estimate of the previous magnitude."""
     if spec.kind != "qam":
@@ -105,41 +137,29 @@ def demod_qam(obs: RelayObservation, spec: ConstellationSpec, prev_mag_est: floa
 
 
 def demod_qam_frame(
-    y: np.ndarray,
-    spec: ConstellationSpec,
-    noise_var: float | np.ndarray,
-    genie_mags: np.ndarray | None = None,
+    y: np.ndarray, spec: ConstellationSpec, noise_var: float | np.ndarray
 ) -> np.ndarray:
     """Sequential differential QAM decisions over a frame.
 
-    The previous-symbol magnitude is fed back from the relay's own decisions
-    (starting from the unit reference), or taken from ``genie_mags`` holding
-    the true |x[n]| per data symbol when provided.  ``noise_var`` broadcasts
-    against the leading shape, as (R, 1) does for R relays' (R, B, L+1).
+    The previous symbol is fed back from the relay's own decisions, starting
+    from the unit reference.  ``noise_var`` broadcasts against the leading
+    shape, as (R, 1) does for R relays' (R, B, L+1).
     """
     if spec.kind != "qam":
         raise ValueError(f"expected a qam constellation, got {spec.kind!r}")
-    noise_var = np.asarray(noise_var, dtype=float)[..., None]
+    noise_var = np.asarray(noise_var, dtype=float)
     if not np.all(noise_var > 0.0):
         raise ValueError(f"noise_var must be > 0, got {noise_var}")
     y = np.asarray(y)
     n_data = y.shape[-1] - 1
-    batch_shape = y.shape[:-1]
-    decisions = np.empty(batch_shape + (n_data,), dtype=np.int64)
+    decisions = np.empty(y.shape[:-1] + (n_data,), dtype=np.int64)
     if decisions.size == 0:  # nothing to decide, e.g. a stack of no relays
         return decisions
-    mags = np.abs(spec.points)
-    prev_mag = np.ones(batch_shape)
+    row = np.zeros(y.shape[:-1], dtype=np.int64)
     for n in range(n_data):
-        if genie_mags is not None and n > 0:
-            prev_mag = np.asarray(genie_mags)[..., n - 1]
-        obj = qam_pair_objective(
-            y[..., n, None], y[..., n + 1, None], noise_var, spec.points, prev_mag[..., None]
-        )
-        d = np.argmin(obj, axis=-1)
+        d = np.argmin(qam_objective(y[..., n], y[..., n + 1], noise_var, spec, row), axis=-1)
         decisions[..., n] = d
-        if genie_mags is None:
-            prev_mag = mags[d]
+        row = d + 1
     return decisions
 
 
@@ -194,23 +214,18 @@ def _simulate_error_fraction(
     for start in range(0, trials, chunk):
         b = min(chunk, trials - start)
         idx = rng.integers(0, spec.M, size=b)
-        x = spec.points[idx]
-        if spec.kind == "psk":
-            v_prev = spec.points[rng.integers(0, spec.M, size=b)]
-            v_curr = v_prev * x
-        else:
-            x_prev = spec.points[rng.integers(0, spec.M, size=b)]
-            v_prev = x_prev
-            v_curr = x_prev * x / np.abs(x_prev)
+        iprev = rng.integers(0, spec.M, size=b)
+        x_prev = spec.points[iprev]
+        v_curr = x_prev * spec.points[idx]
+        if spec.kind == "qam":
+            v_curr /= np.abs(x_prev)
         h = draw_block_gain(link, rng, size=b)
-        y = h[:, None] * np.stack([v_prev, v_curr], axis=-1)
+        y = h[:, None] * np.stack([x_prev, v_curr], axis=-1)
         y += draw_noise(link.noise_var, rng, size=(b, 2))
         if spec.kind == "psk":
             d = demod_psk_frame(y, spec)[:, 0]
         else:
-            obj = qam_pair_objective(
-                y[:, :1], y[:, 1:], link.noise_var, spec.points, np.abs(x_prev)[:, None]
-            )
+            obj = qam_objective(y[:, 0], y[:, 1], link.noise_var, spec, iprev + 1)
             d = np.argmin(obj, axis=-1)
         errors += int(np.count_nonzero(d != idx))
         total += b

@@ -7,6 +7,12 @@ worker count.  Error counting is symbol-level against the transmitted
 indices, and confidence intervals are Wilson intervals on a cluster-adjusted
 effective sample size, since symbols within one coherence frame share a
 channel draw.
+
+A simulation call takes a list of batches: their draws are written into the
+rows of one stack, and the relays and the decoder run once over it.  A QAM
+round is split into one contiguous share of batches per worker, so the
+sequential QAM chains pay their per-symbol overhead once per share; PSK,
+whose kernels gain nothing from larger stacks, runs one batch per call.
 """
 
 from __future__ import annotations
@@ -99,6 +105,11 @@ class ExperimentPlan:
             raise ValueError(f"link offsets are only meaningful with custom tying")
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
+        if self.trials.max_trials < self.frame_len:
+            raise ValueError(
+                f"trials.max_trials ({self.trials.max_trials}) must cover at least "
+                f"one frame of frame_len ({self.frame_len}) symbols"
+            )
         if self.decoder.epsilons and len(self.decoder.epsilons) != self.n_relays:
             raise ValueError(
                 f"decoder carries {len(self.decoder.epsilons)} epsilons "
@@ -262,61 +273,67 @@ def resolve_epsilons(plan: ExperimentPlan, index: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _simulate_batch(plan, index, batch, n_frames, decoder_cfg):
-    """Simulate ``n_frames`` coherence frames; returns (errors, sq, fallbacks).
+def _simulate_batch(plan, index, jobs, decoder_cfg):
+    """Simulate the (batch, n_frames) ``jobs`` as one stack of frames.
 
-    All randomness comes from streams addressed by (seed, point, batch,
-    purpose), so the result is a pure function of those integers.
+    Returns (errors, sum of squared frame errors, fallbacks) over all jobs.
+    Each batch's draws come from its own streams addressed by (seed, point,
+    batch, purpose) and fill its rows of the stack, so the result is the sum
+    of the jobs' separate results and a pure function of those integers.
     """
     spec = plan.spec
     topo = plan.topology_at(index)
     length = plan.frame_len
     genie_relay = plan.tying == "sr_infinite"
-    rng_sym = make_stream(plan.seed, index, batch, _STREAM_SYMBOLS)
-    idx = rng_sym.integers(0, spec.M, size=(n_frames, length))
+    starts = np.cumsum([0] + [n for _, n in jobs])
+    rows = [(batch, slice(lo, lo + n), n) for (batch, n), lo in zip(jobs, starts)]
+    idx = np.empty((starts[-1], length), dtype=np.int64)
+    for batch, sl, n in rows:
+        rng = make_stream(plan.seed, index, batch, _STREAM_SYMBOLS)
+        idx[sl] = rng.integers(0, spec.M, size=(n, length))
 
     if spec.kind == "psk":
         v_s = encode_psk_frame(idx, spec)
     else:
         v_s = encode_qam_frame(idx, spec)
 
-    def through(link, v, purpose):
-        rng = make_stream(plan.seed, index, batch, purpose)
-        h = draw_block_gain(link, rng, size=n_frames)
-        y = h[:, None] * v
-        if not plan.zero_noise:
-            y = y + draw_noise(link.noise_var, rng, size=v.shape)
-        return y
+    def through(link, v, purpose, out):
+        for batch, sl, n in rows:
+            rng = make_stream(plan.seed, index, batch, purpose)
+            h = draw_block_gain(link, rng, size=n)
+            np.multiply(h[:, None], v[sl], out=out[sl])
+            if not plan.zero_noise:
+                out[sl] += draw_noise(link.noise_var, rng, size=(n, length + 1))
 
-    y_sd = through(topo.source_dest, v_s, _STREAM_SD)
+    y_sd = np.empty(v_s.shape, dtype=complex)
+    through(topo.source_dest, v_s, _STREAM_SD, y_sd)
 
     n_rel = plan.n_relays
     y_rd = np.empty((n_rel,) + y_sd.shape, dtype=complex)
     relay_decisions = np.empty((n_rel,) + idx.shape, dtype=np.int64)
     if n_rel:
-        y_sr = np.broadcast_to(v_s, y_rd.shape) if genie_relay else np.stack([
-            through(link, v_s, _STREAM_SR0 + 2 * r)
-            for r, link in enumerate(topo.source_relay)
-        ])
+        if genie_relay:
+            y_sr = np.broadcast_to(v_s, y_rd.shape)
+        else:
+            y_sr = np.empty_like(y_rd)
+            for r, link in enumerate(topo.source_relay):
+                through(link, v_s, _STREAM_SR0 + 2 * r, y_sr[r])
         v_r, relay_decisions = relay_process_frame(
             y_sr, spec, np.array([[link.noise_var] for link in topo.source_relay]),
             mode="genie" if genie_relay else "erroneous",
             true_indices=np.broadcast_to(idx, relay_decisions.shape),
         )
         for r, link in enumerate(topo.relay_dest):
-            y_rd[r] = through(link, v_r[r], _STREAM_RD0 + 2 * r)
+            through(link, v_r[r], _STREAM_RD0 + 2 * r, y_rd[r])
 
     sd_nv = topo.source_dest.noise_var
     rd_nvs = tuple(link.noise_var for link in topo.relay_dest)
     if spec.kind == "psk":
         decoded, fallbacks = decode_psk_frames(y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg)
     else:
-        kwargs = {}
-        if decoder_cfg.kind == "genie_reference":
-            kwargs["true_source_mags"] = np.abs(spec.points[idx])
-            kwargs["true_relay_mags"] = np.abs(spec.points[relay_decisions])
         decoded, fallbacks = decode_qam_frames(
-            y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg, **kwargs
+            y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg,
+            true_source_idx=idx, true_relay_idx=relay_decisions,
         )
     frame_errors = np.count_nonzero(decoded != idx, axis=-1)
     return (
@@ -333,9 +350,10 @@ _ROUND_BATCHES = 8
 def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     """Estimate the SER of one grid point under the plan's stopping policy.
 
-    Batches within a round run in parallel; counts are reduced in batch order
-    and the stopping rule is applied only at round boundaries, so the result
-    does not depend on ``workers``.
+    The batches of a round run in parallel, one per call for PSK and one
+    contiguous share per worker for QAM; counts are summed and the stopping
+    rule is applied only at round boundaries, so the result does not depend
+    on ``workers``.
     """
     if not 0 <= index < len(plan.snr_grid_db):
         raise ValueError(f"grid index {index} outside 0..{len(plan.snr_grid_db) - 1}")
@@ -355,8 +373,8 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     fallbacks = 0
     batch = 0
 
-    def simulate(job):
-        return _simulate_batch(plan, index, job[0], job[1], decoder_cfg)
+    def simulate(share):
+        return _simulate_batch(plan, index, share, decoder_cfg)
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
@@ -372,13 +390,15 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                 take = min(frames_per_batch, budget_frames)
                 jobs.append((batch, take))
                 budget_frames -= take
+                n_frames += take
                 batch += 1
-            for (b, take), (err, sq, fb) in zip(jobs, list(run_jobs(simulate, jobs))):
+            trials = n_frames * length
+            size = -(-len(jobs) // max(workers, 1)) if plan.spec.kind == "qam" else 1
+            shares = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+            for err, sq, fb in list(run_jobs(simulate, shares)):
                 errors += err
                 sum_sq += sq
                 fallbacks += fb
-                n_frames += take
-                trials += take * length
     n_eff = _effective_trials(trials, n_frames, errors, sum_sq)
     lo, hi = wilson_interval(errors, trials, n_eff)
     return SerPoint(snr_db, errors, trials, errors / trials, lo, hi, fallbacks)

@@ -144,6 +144,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="n_relays"):
             load_config(write_yaml(tmp_path / "c.yaml", doc))
 
+    def test_budget_below_one_frame_is_config_error(self, tmp_path):
+        doc = minimal_doc(trials={"min_errors": 5, "max_trials": 10}, frame_len=64)
+        with pytest.raises(ConfigError, match="one frame of frame_len"):
+            load_config(write_yaml(tmp_path / "c.yaml", doc))
+
     def test_preset_rejects_conflicting_keys(self, tmp_path):
         doc = {"version": 1, "preset": "fig6",
                "decoder": {"kind": "pl"}}

@@ -526,7 +526,7 @@ class TestFrameDecoders:
         cfg = DecoderConfig(kind="genie_reference", epsilons=(0.05,))
         got, _ = decode_qam_frames(
             y_sd, y_rd[None], noise_var, (noise_var,), QAM16, cfg,
-            true_source_mags=true_source_mags, true_relay_mags=true_relay_mags,
+            true_source_idx=idx, true_relay_idx=relay_decisions[None],
         )
         for b in range(n_batch):
             for n in range(n_data):
@@ -645,11 +645,12 @@ class TestKernelOracles:
         idx, y_sd, y_rd, nv, rd_nvs, relay_decisions = self.qam_frames(rng, n_rel)
         epsilons = tuple(0.02 + 0.03 * r for r in range(n_rel))
         cfg = DecoderConfig(kind=kind, epsilons=epsilons)
+        got, got_fb = decode_qam_frames(y_sd, y_rd, nv, rd_nvs, QAM16, cfg,
+                                        true_source_idx=idx, true_relay_idx=relay_decisions)
         mags = {}
         if kind == "genie_reference":
             mags = dict(true_source_mags=np.abs(QAM16.points[idx]),
                         true_relay_mags=np.abs(QAM16.points[relay_decisions]))
-        got, got_fb = decode_qam_frames(y_sd, y_rd, nv, rd_nvs, QAM16, cfg, **mags)
         expect, expect_fb = decode_qam_frames_per_symbol(
             y_sd, y_rd, nv, rd_nvs, QAM16, kind, epsilons,
             cfg.resolved_thresholds(16), **mags,

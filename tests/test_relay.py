@@ -21,6 +21,8 @@ from diffrelay.relay import (
     demod_qam,
     demod_qam_frame,
     load_epsilon_table,
+    qam_objective,
+    qam_pair_objective,
     relay_process_frame,
     save_epsilon_table,
 )
@@ -227,20 +229,40 @@ class TestDemodQam:
                 assert d[b, n] == k
                 mag = abs(QAM16.points[k])
 
-    def test_frame_genie_mags(self):
-        rng = make_stream(4, 20)
-        noise_var = 10.0 ** -1.5
-        idx = rng.integers(0, 16, size=(2, 10))
-        true_mags = np.abs(QAM16.points[idx])
-        v = encode_qam_frame(idx, QAM16)
-        h = draw_block_gain(link_at(15.0), rng, size=(2, 1))
-        y = h * v + draw_noise(noise_var, rng, size=(2, 11))
-        d = demod_qam_frame(y, QAM16, noise_var, genie_mags=true_mags)
-        for b in range(2):
-            for n in range(10):
-                obs = RelayObservation(complex(y[b, n]), complex(y[b, n + 1]), noise_var)
-                mag = 1.0 if n == 0 else float(true_mags[b, n - 1])
-                assert d[b, n] == demod_qam(obs, QAM16, mag)
+    @pytest.mark.parametrize("m", [8, 16, 32, 64])
+    def test_ring_table_objective_matches_pair_objective(self, m):
+        spec = make_qam(m)
+        rng = make_stream(4, 20, m)
+        rows = np.arange(m + 1)
+        prev_mag = np.concatenate(([1.0], np.abs(spec.points)))
+        y0 = rng.normal(size=(3, m + 1)) + 1j * rng.normal(size=(3, m + 1))
+        y1 = rng.normal(size=(3, m + 1)) + 1j * rng.normal(size=(3, m + 1))
+        for noise_var in (0.07, np.array([[0.07], [0.3], [1.9]])):
+            got = qam_objective(y0, y1, noise_var, spec, rows)
+            expect = qam_pair_objective(y0[..., None], y1[..., None],
+                                        np.asarray(noise_var)[..., None],
+                                        spec.points, prev_mag[:, None])
+            assert got.shape == (3, m + 1, m)
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_frame_decisions_match_pair_objective_argmin(self, m):
+        spec = make_qam(m)
+        rng = make_stream(5, 20, m)
+        noise_var = 10.0 ** -2.0
+        idx = rng.integers(0, m, size=(6, 24))
+        v = encode_qam_frame(idx, spec)
+        h = draw_block_gain(link_at(20.0), rng, size=(6, 1))
+        y = h * v + draw_noise(noise_var, rng, size=(6, 25))
+        got = demod_qam_frame(y, spec, noise_var)
+        prev_mag = np.ones(6)
+        for n in range(24):
+            obj = qam_pair_objective(y[:, n, None], y[:, n + 1, None], noise_var,
+                                     spec.points, prev_mag[:, None])
+            expect = np.argmin(obj, axis=-1)
+            np.testing.assert_array_equal(got[:, n], expect)
+            prev_mag = np.abs(spec.points[expect])
+        assert np.count_nonzero(got != idx) > 0  # noisy enough to decide wrongly
 
 
 class TestRelayProcessFrame:

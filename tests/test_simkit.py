@@ -31,6 +31,7 @@ from diffrelay.simkit import (
     SerPoint,
     TrialsPolicy,
     _effective_trials,
+    _simulate_batch,
     compare_curves,
     resolve_epsilons,
     run_point,
@@ -153,6 +154,14 @@ class TestPolicyAndPlanValidation:
     def test_frame_len_floor(self):
         with pytest.raises(ValueError, match="frame_len must be >= 1"):
             ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,), frame_len=0)
+
+    def test_budget_must_cover_one_frame(self):
+        with pytest.raises(ValueError, match=r"max_trials \(10\) must cover at least one frame"):
+            ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,),
+                           trials=TrialsPolicy(5, 10), frame_len=64)
+        plan = ExperimentPlan(QPSK, DecoderConfig("ml", epsilons=(0.1,)), (10.0,),
+                              trials=TrialsPolicy(5, 16), frame_len=16)
+        assert run_point(plan, 0).trials == 16
 
     def test_epsilon_count_mismatch(self):
         with pytest.raises(ValueError, match="carries 2 epsilons"):
@@ -345,6 +354,47 @@ class TestRunPoint:
         pt = run_point(plan, 0)
         assert pt.trials <= 50_000
         assert pt.errors < 200
+
+
+class TestFusedShares:
+    """A QAM share of several batches gives the sum of their separate results."""
+
+    JOBS = [(3, 40), (4, 17), (9, 64)]
+
+    def check_stack(self, plan):
+        fused = _simulate_batch(plan, 0, self.JOBS, plan.decoder)
+        single = [_simulate_batch(plan, 0, [job], plan.decoder) for job in self.JOBS]
+        assert fused == tuple(sum(parts) for parts in zip(*single))
+        assert fused[0] > 0
+
+    @pytest.mark.parametrize("tying", ["all_equal", "sr_infinite"])
+    @pytest.mark.parametrize("n_rel", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["ml", "pl", "genie_reference"])
+    def test_stack_equals_sum_of_jobs(self, kind, n_rel, tying):
+        self.check_stack(ExperimentPlan(
+            QAM16, DecoderConfig(kind, epsilons=(0.05,) * n_rel), (12.0,),
+            n_relays=n_rel, tying=tying, seed=12, frame_len=16,
+        ))
+
+    def test_zero_noise_stack_equals_sum_of_jobs(self):
+        # QAM still errs without noise: in a deep fade the log(denom) term
+        # favours low-energy candidates
+        self.check_stack(ExperimentPlan(
+            QAM16, DecoderConfig("pl", epsilons=(0.05,)), (12.0,),
+            seed=12, frame_len=16, zero_noise=True,
+        ))
+
+    def test_worker_shares_keep_results(self):
+        # 1,458 frames of 64: a full round of 8 batches, then 3 full and one
+        # partial batch, so shares differ in batches and frames
+        plan = ExperimentPlan(
+            QAM16, DecoderConfig("pl", epsilons=(0.05,)), (14.0,),
+            trials=TrialsPolicy(40_000, 93_312), seed=3,
+        )
+        one, two, three = (run_point(plan, 0, workers=w) for w in (1, 2, 3))
+        assert one.trials == 93_312
+        assert one.fallbacks > 0
+        assert one == two == three
 
 
 class TestRunSweep:
