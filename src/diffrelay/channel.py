@@ -86,19 +86,3 @@ def draw_noise(noise_var: float, rng: np.random.Generator, size=None):
     scale = np.sqrt(noise_var / 2.0)
     e = rng.normal(0.0, scale, size=size) + 1j * rng.normal(0.0, scale, size=size)
     return complex(e) if size is None else e
-
-
-def transmit(h, v, noise_var: float, rng: np.random.Generator, zero_noise: bool = False):
-    """Pass symbols through a fixed gain plus AWGN: y = h*v + e.
-
-    ``zero_noise`` is an explicit test mode returning h*v exactly; otherwise
-    noise_var must be positive.
-    """
-    h = np.asarray(h)
-    v = np.asarray(v)
-    if zero_noise:
-        return h * v
-    if not noise_var > 0.0:
-        raise ValueError(f"noise_var must be > 0, got {noise_var}")
-    y = h * v + draw_noise(noise_var, rng, size=np.broadcast(h, v).shape)
-    return y

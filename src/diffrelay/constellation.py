@@ -7,7 +7,6 @@ across runs.  All indices are 0-based positions into ``points``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +25,6 @@ class ConstellationSpec:
     M: int
     points: np.ndarray
     neighbor_pairs: tuple[tuple[int, ...], ...]
-
-    def to_csv(self, path) -> None:
-        """Write the point list as CSV columns index, re, im."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for idx, p in enumerate(self.points):
-                writer.writerow([idx, repr(float(p.real)), repr(float(p.imag))])
 
 
 def _neighbor_sets(points: np.ndarray) -> tuple[tuple[int, ...], ...]:

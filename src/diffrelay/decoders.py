@@ -12,9 +12,9 @@ average decision error probability.  Two decoder families are provided:
 
 QAM decoding needs the magnitude of each link's previous symbol; those are
 fed back either from the destination's own decisions (decision-directed) or
-from the true values (genie reference).  Frame decoding carries the previous
-symbol as a row index into the relay module's ring table, so every QAM score
-is a table lookup (``relay.qam_objective``).
+from the true values (genie reference).  The decoders take whole frames and
+carry the previous symbol as a row index into the relay module's ring table,
+so every QAM score is a table lookup (``relay.qam_objective``).
 
 Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
 (R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
@@ -35,42 +35,10 @@ import numpy as np
 
 from .channel import make_stream
 from .constellation import ConstellationSpec, make_psk
-from .relay import demod_qam_frame, qam_objective, qam_pair_objective
+from .relay import demod_qam_frame, qam_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
-
-
-@dataclass(frozen=True)
-class DestObservation:
-    """One decision instant at the destination: sample pairs per link."""
-
-    sd_pair: tuple[complex, complex]
-    rd_pairs: tuple[tuple[complex, complex], ...]
-    sd_noise_var: float
-    rd_noise_vars: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rd_pairs) != len(self.rd_noise_vars):
-            raise ValueError("rd_pairs and rd_noise_vars must have equal length")
-        if not self.sd_noise_var > 0.0:
-            raise ValueError("sd_noise_var must be > 0")
-        if any(not nv > 0.0 for nv in self.rd_noise_vars):
-            raise ValueError("rd noise variances must be > 0")
-
-
-@dataclass(frozen=True)
-class QamFeedback:
-    """Previous-symbol magnitude estimates needed by the QAM decoders."""
-
-    source_prev_mag: float = 1.0
-    relay_prev_mags: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.source_prev_mag > 0.0:
-            raise ValueError("source_prev_mag must be > 0")
-        if any(not m > 0.0 for m in self.relay_prev_mags):
-            raise ValueError("relay_prev_mags must be > 0")
 
 
 @dataclass(frozen=True)
@@ -80,7 +48,6 @@ class DecoderConfig:
     kind: str
     epsilons: tuple[float, ...] = ()
     thresholds: tuple[float, ...] | None = None
-    qam_feedback: QamFeedback | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -115,13 +82,6 @@ def clip_threshold(m: int, eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return math.log((m - 1) * (1.0 - eps) / eps)
-
-
-def f_pl(t, threshold):
-    """Clip a statistic to [-threshold, threshold]."""
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    return np.clip(t, -threshold, threshold)
 
 
 def _psk_statistics(y, points, noise_var):
@@ -166,11 +126,16 @@ def _ml_objective(base, rels, epsilons):
 
 
 def _tournament(base, rels, thresholds):
-    """Candidate-major core of the pairwise rule.
+    """Winner of the pairwise clipped-statistic rule, candidate-major.
 
-    base has shape (M, n) and rels (M, R, n).  The champion's own base and
+    base has shape (M, n) and rels (M, R, n).  A candidate wins when its
+    pairwise statistic against every rival is positive; a champion found by a
+    sequential tournament is verified against all rivals, and when no
+    unanimous winner exists the candidate with the largest total pairwise
+    statistic is chosen (lowest index on ties).  The champion's own base and
     relay values are carried along and overwritten where it loses, so no
-    step gathers.  Returns (winners of shape (n,), fallback count).
+    step gathers.  Returns (winners of shape (n,), number of instances that
+    needed the total-statistic fallback).
     """
     m, n = base.shape
     thr = np.asarray(thresholds, dtype=float)[:, None]
@@ -198,26 +163,6 @@ def _tournament(base, rels, thresholds):
     return champ, int(bad.size)
 
 
-def _pairwise_select(base, rels, thresholds):
-    """Winner of the pairwise clipped-statistic rule, batched.
-
-    base has shape (..., M) and rels (..., R, M).  A candidate wins when its
-    pairwise statistic against every rival is positive; a champion found by a
-    sequential tournament is verified against all rivals, and when no
-    unanimous winner exists the candidate with the largest total pairwise
-    statistic is chosen (lowest index on ties).  Returns (winners, number of
-    instances that needed the total-statistic fallback).
-    """
-    base = np.asarray(base, dtype=float)
-    m = base.shape[-1]
-    b2 = base.reshape(-1, m)
-    r2 = np.asarray(rels, dtype=float).reshape(b2.shape[0], len(thresholds), m)
-    champ, n_fallback = _tournament(
-        np.ascontiguousarray(b2.T), np.ascontiguousarray(r2.T), thresholds
-    )
-    return champ.reshape(base.shape[:-1]), n_fallback
-
-
 def _check_psk(spec: ConstellationSpec) -> None:
     if spec.kind != "psk":
         raise ValueError(f"expected a psk constellation, got {spec.kind!r}")
@@ -226,96 +171,6 @@ def _check_psk(spec: ConstellationSpec) -> None:
 def _check_qam(spec: ConstellationSpec) -> None:
     if spec.kind != "qam":
         raise ValueError(f"expected a qam constellation, got {spec.kind!r}")
-
-
-def _check_relay_count(obs: DestObservation, cfg: DecoderConfig) -> None:
-    if len(cfg.epsilons) != len(obs.rd_pairs):
-        raise ValueError(
-            f"config carries {len(cfg.epsilons)} epsilons for "
-            f"{len(obs.rd_pairs)} relay observations"
-        )
-
-
-def _scalar_statistics_psk(obs: DestObservation, spec: ConstellationSpec):
-    noise_vars = np.array((obs.sd_noise_var,) + obs.rd_noise_vars)[:, None, None]
-    stats = _psk_statistics(np.array((obs.sd_pair,) + obs.rd_pairs), spec.points, noise_vars)
-    return stats[0, 0], stats[1:, 0]
-
-
-def _scalar_statistics_qam(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig):
-    fb = cfg.qam_feedback
-    if fb is None:
-        raise ValueError("qam decoding requires cfg.qam_feedback")
-    if len(fb.relay_prev_mags) != len(obs.rd_pairs):
-        raise ValueError("qam_feedback must carry one magnitude per relay")
-    pairs = np.array((obs.sd_pair,) + obs.rd_pairs)
-    noise_vars = np.array((obs.sd_noise_var,) + obs.rd_noise_vars)[:, None]
-    prev_mags = np.array((fb.source_prev_mag,) + fb.relay_prev_mags)[:, None]
-    scores = -qam_pair_objective(pairs[:, :1], pairs[:, 1:], noise_vars, spec.points, prev_mags)
-    return scores[0], scores[1:]
-
-
-def ml_decode_psk(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig) -> int:
-    """Maximum-likelihood PSK decision combining direct and relay links."""
-    _check_psk(spec)
-    if cfg.kind not in ("ml", "naive_eps0", "genie_reference"):
-        raise ValueError(f"ml_decode_psk does not handle kind {cfg.kind!r}")
-    _check_relay_count(obs, cfg)
-    t0, rels = _scalar_statistics_psk(obs, spec)
-    obj = _ml_objective(t0, rels, cfg.effective_epsilons())
-    return int(np.argmax(obj))
-
-
-def pl_decode_psk(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig) -> int:
-    """Piecewise-linear PSK decision via pairwise clipped statistics."""
-    _check_psk(spec)
-    _check_relay_count(obs, cfg)
-    t0, rels = _scalar_statistics_psk(obs, spec)
-    winner, _ = _pairwise_select(
-        t0, np.moveaxis(rels, 0, -2), cfg.resolved_thresholds(spec.M)
-    )
-    return int(winner)
-
-
-def ml_decode_qam(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig) -> int:
-    """Maximum-likelihood QAM decision with magnitude feedback."""
-    _check_qam(spec)
-    if cfg.kind not in ("ml", "naive_eps0", "genie_reference"):
-        raise ValueError(f"ml_decode_qam does not handle kind {cfg.kind!r}")
-    _check_relay_count(obs, cfg)
-    base, rels = _scalar_statistics_qam(obs, spec, cfg)
-    obj = _ml_objective(base, rels, cfg.effective_epsilons())
-    return int(np.argmax(obj))
-
-
-def pl_decode_qam(obs: DestObservation, spec: ConstellationSpec, cfg: DecoderConfig) -> int:
-    """Piecewise-linear QAM decision via pairwise clipped score differences."""
-    _check_qam(spec)
-    _check_relay_count(obs, cfg)
-    base, rels = _scalar_statistics_qam(obs, spec, cfg)
-    winner, _ = _pairwise_select(
-        base, np.moveaxis(rels, 0, -2), cfg.resolved_thresholds(spec.M)
-    )
-    return int(winner)
-
-
-def dest_estimate_relay_prev(
-    y_prev2: complex,
-    y_prev1: complex,
-    spec: ConstellationSpec,
-    noise_var: float,
-    prev_mag_est: float,
-) -> tuple[int, float]:
-    """Estimate the relay's previous symbol from its last two samples.
-
-    Returns (index, magnitude); the magnitude feeds the next call's
-    prev_mag_est.  The first data symbol needs no call: its predecessor is
-    the unit reference.
-    """
-    _check_qam(spec)
-    obj = qam_pair_objective(y_prev2, y_prev1, noise_var, spec.points, prev_mag_est)
-    k = int(np.argmin(obj))
-    return k, float(np.abs(spec.points[k]))
 
 
 def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):

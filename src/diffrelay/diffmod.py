@@ -9,43 +9,9 @@ from the initialization symbol v[0] = 1 with |x[0]| taken as 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constellation import ConstellationSpec
-
-_UNIT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DiffState:
-    """Carry-over between consecutive differential encodings of one stream."""
-
-    prev_v: complex = 1.0 + 0.0j
-    prev_x_mag: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.prev_x_mag > 0.0:
-            raise ValueError(f"prev_x_mag must be > 0, got {self.prev_x_mag}")
-
-
-def encode_psk(state: DiffState, x: complex) -> tuple[DiffState, complex]:
-    """Encode one unit-modulus symbol; returns (new state, transmitted v)."""
-    x = complex(x)
-    if abs(abs(x) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"PSK symbol must be unit modulus, got |x| = {abs(x)}")
-    v = state.prev_v * x
-    return DiffState(prev_v=v, prev_x_mag=1.0), v
-
-
-def encode_qam(state: DiffState, x: complex) -> tuple[DiffState, complex]:
-    """Encode one alphabet symbol of arbitrary magnitude."""
-    x = complex(x)
-    if x == 0:
-        raise ValueError("cannot differentially encode a zero symbol")
-    v = state.prev_v * x / state.prev_x_mag
-    return DiffState(prev_v=v, prev_x_mag=abs(x)), v
 
 
 def encode_psk_frame(indices: np.ndarray, spec: ConstellationSpec) -> np.ndarray:

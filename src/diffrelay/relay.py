@@ -16,8 +16,7 @@ symbol only through its magnitude, so each alphabet gets one cached table
 with M+1 rows: row 0 follows the unit reference and row p+1 follows point p.
 A row holds the candidates scaled by the previous magnitude, log(denom) and
 1/denom, and ``qam_objective`` looks rows up by index instead of taking a
-complex division and a log per call.  ``qam_pair_objective`` is the literal
-formula, kept for the per-symbol API and as the kernel's test oracle.
+complex division and a log per call.
 """
 
 from __future__ import annotations
@@ -34,21 +33,6 @@ from scipy import integrate
 from .channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from .constellation import ConstellationSpec
 from .diffmod import encode_psk_frame, encode_qam_frame
-
-
-@dataclass(frozen=True)
-class RelayObservation:
-    """Two consecutive received samples on one source-relay link."""
-
-    y_prev: complex
-    y_curr: complex
-    noise_var: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.y_prev) and np.isfinite(self.y_curr)):
-            raise ValueError("observation samples must be finite")
-        if not self.noise_var > 0.0:
-            raise ValueError(f"noise_var must be > 0, got {self.noise_var}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +55,6 @@ class EpsilonEstimate:
             raise ValueError("monte_carlo estimates require trials > 0")
 
 
-def demod_psk(obs: RelayObservation, spec: ConstellationSpec) -> int:
-    """Differential PSK decision from one sample pair."""
-    return int(demod_psk_frame(np.array([obs.y_prev, obs.y_curr]), spec)[0])
-
-
 def demod_psk_frame(y: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     """Vectorized differential PSK decisions over a frame.
 
@@ -92,14 +71,6 @@ def demod_psk_frame(y: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return k.astype(np.int64) % spec.M
 
 
-def qam_pair_objective(y_prev, y_curr, noise_var, points, prev_mag):
-    """Per-candidate decision objective for differential QAM, broadcastable."""
-    energy = np.abs(points) ** 2
-    denom = 1.0 + energy / prev_mag**2
-    resid = np.abs(y_curr - y_prev * points / prev_mag) ** 2
-    return np.log(denom) + resid / (denom * noise_var)
-
-
 @functools.lru_cache(maxsize=16)
 def _ring_table(spec: ConstellationSpec):
     """(points / prev_mag, log(denom), 1/denom), one row per previous symbol."""
@@ -109,10 +80,13 @@ def _ring_table(spec: ConstellationSpec):
 
 
 def qam_objective(y_prev, y_curr, noise_var, spec: ConstellationSpec, prev_row):
-    """``qam_pair_objective`` from the ring table, candidates on a new last axis.
+    """Differential QAM decision objective, candidates on a new last axis.
 
-    ``prev_row`` holds each pair's table row (0 after the reference, p+1
-    after point p); the samples and ``noise_var`` broadcast against it.
+    Entry k is log(d_k) + |y_curr - y_prev x_k / a|^2 / (d_k noise_var),
+    with a the previous symbol's magnitude and d_k = 1 + |x_k|^2 / a^2; the
+    smallest entry is the decision.  ``prev_row`` holds each pair's ring
+    table row (0 after the reference, p+1 after point p); the samples and
+    ``noise_var`` broadcast against it.
     """
     scaled, log_denom, inv_denom = _ring_table(spec)
     d = np.multiply(np.asarray(y_prev)[..., None], scaled[prev_row])
@@ -123,17 +97,6 @@ def qam_objective(y_prev, y_curr, noise_var, spec: ConstellationSpec, prev_row):
     obj /= np.asarray(noise_var, dtype=float)[..., None]
     obj += log_denom[prev_row]
     return obj
-
-
-def demod_qam(obs: RelayObservation, spec: ConstellationSpec, prev_mag_est: float) -> int:
-    """Differential QAM decision given an estimate of the previous magnitude."""
-    if spec.kind != "qam":
-        raise ValueError(f"expected a qam constellation, got {spec.kind!r}")
-    if not prev_mag_est > 0.0:
-        raise ValueError(f"prev_mag_est must be > 0, got {prev_mag_est}")
-    obj = qam_pair_objective(obs.y_prev, obs.y_curr, obs.noise_var,
-                         spec.points, prev_mag_est)
-    return int(np.argmin(obj))
 
 
 def demod_qam_frame(
@@ -164,38 +127,22 @@ def demod_qam_frame(
 
 
 def relay_process_frame(
-    y: np.ndarray,
-    spec: ConstellationSpec,
-    noise_var: float | np.ndarray,
-    mode: str = "erroneous",
-    true_indices: np.ndarray | None = None,
+    y: np.ndarray, spec: ConstellationSpec, noise_var: float | np.ndarray
 ):
     """Demodulate a received frame and differentially re-encode the decisions.
 
     Returns (v_r, decisions) where v_r is the relay's transmit frame including
-    its reference symbol.  In genie mode the decisions are the true indices,
-    so v_r reproduces the source sequence exactly.  Several relays' frames go
-    in one call as (R, B, L+1), with ``noise_var`` as for ``demod_qam_frame``.
+    its reference symbol.  Several relays' frames go in one call as
+    (R, B, L+1), with ``noise_var`` as for ``demod_qam_frame``.
     """
     y = np.asarray(y)
     if y.shape[-1] < 2:
         raise ValueError("a frame needs at least the reference and one data symbol")
-    if mode == "genie":
-        if true_indices is None:
-            raise ValueError("genie mode requires true_indices")
-        decisions = np.asarray(true_indices)
-    elif mode == "erroneous":
-        if spec.kind == "psk":
-            decisions = demod_psk_frame(y, spec)
-        else:
-            decisions = demod_qam_frame(y, spec, noise_var)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if spec.kind == "psk":
-        v_r = encode_psk_frame(decisions, spec)
-    else:
-        v_r = encode_qam_frame(decisions, spec)
-    return v_r, decisions
+        decisions = demod_psk_frame(y, spec)
+        return encode_psk_frame(decisions, spec), decisions
+    decisions = demod_qam_frame(y, spec, noise_var)
+    return encode_qam_frame(decisions, spec), decisions
 
 
 def _simulate_error_fraction(

@@ -310,21 +310,18 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
 
     n_rel = plan.n_relays
     y_rd = np.empty((n_rel,) + y_sd.shape, dtype=complex)
-    relay_decisions = np.empty((n_rel,) + idx.shape, dtype=np.int64)
-    if n_rel:
-        if genie_relay:
-            y_sr = np.broadcast_to(v_s, y_rd.shape)
-        else:
-            y_sr = np.empty_like(y_rd)
-            for r, link in enumerate(topo.source_relay):
-                through(link, v_s, _STREAM_SR0 + 2 * r, y_sr[r])
+    # sr_infinite relays decide without error and forward the source's frame
+    v_r = np.broadcast_to(v_s, y_rd.shape)
+    relay_decisions = np.broadcast_to(idx, (n_rel,) + idx.shape)
+    if n_rel and not genie_relay:
+        y_sr = np.empty_like(y_rd)
+        for r, link in enumerate(topo.source_relay):
+            through(link, v_s, _STREAM_SR0 + 2 * r, y_sr[r])
         v_r, relay_decisions = relay_process_frame(
-            y_sr, spec, np.array([[link.noise_var] for link in topo.source_relay]),
-            mode="genie" if genie_relay else "erroneous",
-            true_indices=np.broadcast_to(idx, relay_decisions.shape),
+            y_sr, spec, np.array([[link.noise_var] for link in topo.source_relay])
         )
-        for r, link in enumerate(topo.relay_dest):
-            through(link, v_r[r], _STREAM_RD0 + 2 * r, y_rd[r])
+    for r, link in enumerate(topo.relay_dest):
+        through(link, v_r[r], _STREAM_RD0 + 2 * r, y_rd[r])
 
     sd_nv = topo.source_dest.noise_var
     rd_nvs = tuple(link.noise_var for link in topo.relay_dest)

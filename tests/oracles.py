@@ -1024,6 +1024,30 @@ def _mixture_logsumexp(scores, eps):
     return out
 
 
+def diff_encode_stream(xs):
+    """Streaming differential encoder, one symbol at a time.
+
+    v[0] = 1 and v[n] = v[n-1] x[n] / |x[n-1]| with |x[0]| taken as 1; for
+    unit-modulus symbols this is v[n] = v[n-1] x[n].  xs has shape (L,);
+    returns the (L+1,) transmit stream.
+    """
+    v = [1.0 + 0.0j]
+    prev_mag = 1.0
+    for x in xs:
+        x = complex(x)
+        v.append(v[-1] * x / prev_mag)
+        prev_mag = abs(x)
+    return np.array(v)
+
+
+def qam_pair_objective(y_prev, y_curr, noise_var, points, prev_mag):
+    """Per-candidate decision objective for differential QAM, broadcastable."""
+    energy = np.abs(points) ** 2
+    denom = 1.0 + energy / prev_mag**2
+    resid = np.abs(y_curr - y_prev * points / prev_mag) ** 2
+    return np.log(denom) + resid / (denom * noise_var)
+
+
 def decode_qam_frames_per_symbol(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, kind,
                                  epsilons, thresholds, true_source_mags=None,
                                  true_relay_mags=None):
@@ -1032,11 +1056,9 @@ def decode_qam_frames_per_symbol(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, 
     y_sd (B, L+1), y_rd (R, B, L+1).  At each symbol the destination first
     re-decides each relay's previous symbol from that relay's last two
     samples (or reads the true magnitudes for genie_reference), then scores
-    every link and decides.  It shares only the per-pair objective with the
-    production decoder.  Returns (decisions (B, L), fallback count).
+    every link and decides with the literal ``qam_pair_objective``.  Returns
+    (decisions (B, L), fallback count).
     """
-    from diffrelay.relay import qam_pair_objective
-
     n_batch, n_data = y_sd.shape[0], y_sd.shape[1] - 1
     n_rel = len(epsilons)
     mags = np.abs(spec.points)

@@ -27,12 +27,10 @@ from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stre
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.decoders import (
     DecoderConfig,
-    DestObservation,
-    QamFeedback,
     clip_threshold,
     count_ops,
-    ml_decode_psk,
-    ml_decode_qam,
+    decode_psk_frames,
+    decode_qam_frames,
 )
 from diffrelay.relay import analytic_epsilon_psk, calibrate_epsilon
 from diffrelay.simkit import (
@@ -130,14 +128,9 @@ def test_criterion_3_ml_matches_joint_density():
         e = draw_noise(noise_var, rng, size=(4, per_group))
         sd = (h_sd * v_prev + e[0], h_sd * v_curr + e[1])
         rd = (h_rd * v_prev + e[2], h_rd * v_curr + e[3])
-        got = np.empty(per_group, dtype=int)
-        for i in range(per_group):
-            obs = DestObservation(
-                sd_pair=(complex(sd[0][i]), complex(sd[1][i])),
-                rd_pairs=((complex(rd[0][i]), complex(rd[1][i])),),
-                sd_noise_var=noise_var, rd_noise_vars=(noise_var,),
-            )
-            got[i] = ml_decode_psk(obs, spec, cfg)
+        got, _ = decode_psk_frames(np.stack(sd, axis=-1), np.stack(rd, axis=-1)[None],
+                                   noise_var, (noise_var,), spec, cfg)
+        got = got[:, 0]
         oracle = pdf_decode_psk(sd[0], sd[1], rd[0][None], rd[1][None],
                                 noise_var, (noise_var,), spec.points, (eps,))
         mismatches += int(np.sum(got != oracle))
@@ -160,19 +153,17 @@ def test_criterion_3_ml_matches_joint_density():
         sd = (h_sd * v_prev + e[0], h_sd * v_curr + e[1])
         rd = (h_rd * v_prev + e[2], h_rd * v_curr + e[3])
         mags = np.abs(x_prev)
-        got = np.empty(per_group, dtype=int)
-        for i in range(per_group):
-            obs = DestObservation(
-                sd_pair=(complex(sd[0][i]), complex(sd[1][i])),
-                rd_pairs=((complex(rd[0][i]), complex(rd[1][i])),),
-                sd_noise_var=noise_var, rd_noise_vars=(noise_var,),
-            )
-            cfg = DecoderConfig(
-                "ml", epsilons=(eps,),
-                qam_feedback=QamFeedback(source_prev_mag=float(mags[i]),
-                                         relay_prev_mags=(float(mags[i]),)),
-            )
-            got[i] = ml_decode_qam(obs, spec, cfg)
+        # frames [kp, k] with the true symbols fed back, so the decision on k
+        # sees |x_kp| on both links; the reference sample is read only by the
+        # decision on kp
+        true_idx = np.stack([kp, k], axis=-1)
+        got, _ = decode_qam_frames(
+            np.stack([h_sd, *sd], axis=-1), np.stack([h_rd, *rd], axis=-1)[None],
+            noise_var, (noise_var,), spec,
+            DecoderConfig("genie_reference", epsilons=(eps,)),
+            true_source_idx=true_idx, true_relay_idx=true_idx[None],
+        )
+        got = got[:, 1]
         oracle = pdf_decode_qam(sd[0], sd[1], rd[0][None], rd[1][None],
                                 noise_var, (noise_var,), spec.points, (eps,),
                                 mags, mags[None])

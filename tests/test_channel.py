@@ -10,7 +10,6 @@ from diffrelay.channel import (
     draw_block_gain,
     draw_noise,
     make_stream,
-    transmit,
 )
 from diffrelay.constellation import make_psk
 
@@ -108,25 +107,17 @@ class TestBlockGain:
 
 
 class TestTransmit:
-    def test_zero_noise_mode_exact(self):
-        v = np.exp(1j * np.linspace(0.0, 3.0, 65))
-        h = 0.3 - 0.8j
-        y = transmit(h, v, 0.1, make_stream(0, 0), zero_noise=True)
-        np.testing.assert_array_equal(y, h * v)
-
-    def test_zero_noise_var_rejected_outside_test_mode(self):
-        with pytest.raises(ValueError):
-            transmit(1.0 + 0j, np.ones(4, dtype=complex), 0.0, make_stream(0, 0))
+    # a link's output is y = h * v + e, as the simulator forms it
 
     def test_pure_noise_variance(self):
-        y = transmit(1.0 + 0j, np.zeros(1_000_000, dtype=complex), 0.4, make_stream(4, 0))
+        y = draw_noise(0.4, make_stream(4, 0), size=1_000_000)
         assert np.var(y) == pytest.approx(0.4, rel=0.01)
 
     def test_fixed_gain_mean(self):
         n = 1_000_000
         noise_var = 0.25
         h = 0.6 + 0.5j
-        y = transmit(h, np.ones(n, dtype=complex), noise_var, make_stream(5, 0))
+        y = h * np.ones(n, dtype=complex) + draw_noise(noise_var, make_stream(5, 0), size=n)
         three_sigma = 3.0 * np.sqrt(noise_var / n)
         assert abs(np.mean(y) - h) < three_sigma
 
@@ -145,5 +136,5 @@ class TestTransmit:
     def test_broadcasting(self):
         h = np.array([[1.0 + 0j], [2.0 + 0j]])
         v = np.ones((1, 5), dtype=complex)
-        y = transmit(h, v, 0.1, make_stream(7, 0))
+        y = h * v + draw_noise(0.1, make_stream(7, 0), size=np.broadcast(h, v).shape)
         assert y.shape == (2, 5)

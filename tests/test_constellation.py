@@ -79,12 +79,6 @@ class TestMakeQam:
         fixture = _load_fixture(f"qam{m}.csv")
         assert np.allclose(spec.points, fixture, atol=1e-15)
 
-    def test_csv_roundtrip(self, tmp_path):
-        spec = make_qam(16)
-        out = tmp_path / "qam16.csv"
-        spec.to_csv(out)
-        assert np.array_equal(_load_fixture(out), spec.points)
-
 
 class TestNearestNeighbors:
     def test_qpsk_neighbors_of_first_point(self):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -13,28 +13,21 @@ from oracles import (
     pairwise_select_bruteforce,
     pdf_decode_psk,
     pdf_decode_qam,
+    qam_pair_objective,
 )
 
 from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.decoders import (
     DecoderConfig,
-    DestObservation,
-    QamFeedback,
     _counted_ml_decode,
     _counted_pl_decode,
     _mixture_log_scores,
-    _pairwise_select,
+    _tournament,
     clip_threshold,
     count_ops,
     decode_psk_frames,
     decode_qam_frames,
-    dest_estimate_relay_prev,
-    f_pl,
-    ml_decode_psk,
-    ml_decode_qam,
-    pl_decode_psk,
-    pl_decode_qam,
 )
 from diffrelay.diffmod import encode_psk_frame, encode_qam_frame
 from diffrelay.relay import relay_process_frame
@@ -43,26 +36,47 @@ QPSK = make_psk(4)
 QAM16 = make_qam(16)
 
 
-def random_psk_obs(rng, spec, snr_db, n_relays=1):
-    """One noisy destination observation with a known transmitted symbol."""
+def psk_obs(rng, spec, snr_db, n, n_relays=1):
+    """n noisy one-data-symbol observations with known symbols, drawn one by one.
+
+    Returns (y_sd (n, 2), y_rd (R, n, 2), noise_var, symbols (n,)).
+    """
     noise_var = 10.0 ** (-snr_db / 10.0)
-    k = int(rng.integers(0, spec.M))
-    v_prev = complex(spec.points[int(rng.integers(0, spec.M))])
-    v_curr = v_prev * complex(spec.points[k])
     link = LinkParams(sigma2=1.0, noise_var=noise_var)
+    y_sd = np.empty((n, 2), dtype=complex)
+    y_rd = np.empty((n_relays, n, 2), dtype=complex)
+    symbols = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        symbols[i] = rng.integers(0, spec.M)
+        v_prev = spec.points[rng.integers(0, spec.M)]
+        v = np.array([v_prev, v_prev * spec.points[symbols[i]]])
+        y_sd[i] = draw_block_gain(link, rng) * v + draw_noise(noise_var, rng, size=2)
+        for r in range(n_relays):
+            y_rd[r, i] = draw_block_gain(link, rng) * v + draw_noise(noise_var, rng, size=2)
+    return y_sd, y_rd, noise_var, symbols
 
-    def pair():
-        h = draw_block_gain(link, rng)
-        e = draw_noise(noise_var, rng, size=2)
-        return (h * v_prev + e[0], h * v_curr + e[1])
 
-    sd = pair()
-    rds = tuple(pair() for _ in range(n_relays))
-    obs = DestObservation(
-        sd_pair=sd, rd_pairs=rds, sd_noise_var=noise_var,
-        rd_noise_vars=(noise_var,) * n_relays,
+def decode_pairs(y_sd, y_rd, noise_var, spec, cfg):
+    """decode_psk_frames' decisions (n,) on one-data-symbol frames."""
+    got, _ = decode_psk_frames(y_sd, y_rd, noise_var, (noise_var,) * len(y_rd), spec, cfg)
+    return got[:, 0]
+
+
+def correlations(y, points, noise_var):
+    """Re(conj(y[1]) y[0] x_k) / noise_var for pairs y (..., 2), candidates last."""
+    return np.real(np.conj(y[..., 1, None]) * y[..., 0, None] * points) / noise_var
+
+
+def pairwise_select(base, rels, thresholds):
+    """``_tournament`` on the row layout: base (..., M), rels (..., R, M)."""
+    base = np.asarray(base, dtype=float)
+    m = base.shape[-1]
+    b2 = base.reshape(-1, m)
+    r2 = np.asarray(rels, dtype=float).reshape(b2.shape[0], len(thresholds), m)
+    winners, n_fallback = _tournament(
+        np.ascontiguousarray(b2.T), np.ascontiguousarray(r2.T), thresholds
     )
-    return obs, k
+    return winners.reshape(base.shape[:-1]), n_fallback
 
 
 class TestClipThreshold:
@@ -84,25 +98,36 @@ class TestClipThreshold:
 
 
 class TestFpl:
+    """The paper's f_PL = clip(t, -T, T), applied by the PL rule to each relay's
+    statistic differences.  At M = 2 with one relay the rule picks candidate
+    0 exactly when d0 + f_PL(d) > 0."""
+
+    @staticmethod
+    def binary_winner(d0, d, threshold):
+        winner, _ = pairwise_select(np.array([d0, 0.0]), np.array([[d, 0.0]]), (threshold,))
+        return int(winner)
+
     def test_regions(self):
-        assert f_pl(0.0, 7.3032) == 0.0
-        assert f_pl(10.0, 7.3032) == 7.3032
-        assert f_pl(-10.0, 7.3032) == -7.3032
-        assert f_pl(3.0, 7.3032) == 3.0
+        for d, f in ((0.0, 0.0), (10.0, 7.3032), (-10.0, -7.3032), (3.0, 3.0)):
+            assert self.binary_winner(-f + 1e-6, d, 7.3032) == 0
+            assert self.binary_winner(-f - 1e-6, d, 7.3032) == 1
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            f_pl(1.0, 0.0)
+            DecoderConfig(kind="pl", epsilons=(0.1,), thresholds=(0.0,))
 
-    @given(t=st.floats(-50, 50), threshold=st.floats(0.1, 20))
-    def test_odd_function(self, t, threshold):
-        assert f_pl(-t, threshold) == -f_pl(t, threshold)
+    @given(d0=st.floats(-50, 50), d=st.floats(-50, 50), threshold=st.floats(0.1, 20))
+    def test_odd_function(self, d0, d, threshold):
+        assume(abs(d0 + np.clip(d, -threshold, threshold)) > 1e-9)
+        assert self.binary_winner(-d0, -d, threshold) \
+            == 1 - self.binary_winner(d0, d, threshold)
 
     def test_deviation_from_exact_nonlinearity(self):
         eps, m = 1e-2, 16
         threshold = clip_threshold(m, eps)
         t = np.linspace(-30.0, 30.0, 120_001)
-        deviation = np.max(np.abs(exact_relay_llr(t, eps, m) - f_pl(t, threshold)))
+        f_pl = np.clip(t, -threshold, threshold)
+        deviation = np.max(np.abs(exact_relay_llr(t, eps, m) - f_pl))
         assert deviation < 0.7
         assert abs(exact_relay_llr(40.0, eps, m) - threshold) < 1e-12
 
@@ -126,12 +151,6 @@ class TestConfig:
         naive = DecoderConfig(kind="naive_eps0", epsilons=(1e-2,))
         assert naive.resolved_thresholds(16) == (math.inf,)
         assert naive.effective_epsilons() == (0.0,)
-
-    def test_feedback_validation(self):
-        with pytest.raises(ValueError):
-            QamFeedback(source_prev_mag=0.0)
-        with pytest.raises(ValueError):
-            QamFeedback(source_prev_mag=1.0, relay_prev_mags=(0.0,))
 
 
 class TestMixture:
@@ -161,86 +180,63 @@ class TestMixture:
 class TestMlPsk:
     def test_zero_eps_is_weighted_correlation_rule(self):
         rng = make_stream(1, 40)
-        for _ in range(50):
-            obs, _ = random_psk_obs(rng, QPSK, 8.0, n_relays=2)
-            cfg = DecoderConfig(kind="ml", epsilons=(0.0, 0.0))
-            got = ml_decode_psk(obs, QPSK, cfg)
-            stats = np.real(
-                np.conj(obs.sd_pair[1]) * obs.sd_pair[0] * QPSK.points
-            ) / obs.sd_noise_var
-            for pair, nv in zip(obs.rd_pairs, obs.rd_noise_vars):
-                stats = stats + np.real(np.conj(pair[1]) * pair[0] * QPSK.points) / nv
-            assert got == np.argmax(stats)
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 8.0, 50, n_relays=2)
+        cfg = DecoderConfig(kind="ml", epsilons=(0.0, 0.0))
+        got = decode_pairs(y_sd, y_rd, nv, QPSK, cfg)
+        stats = correlations(y_sd, QPSK.points, nv)
+        for y in y_rd:
+            stats = stats + correlations(y, QPSK.points, nv)
+        np.testing.assert_array_equal(got, np.argmax(stats, axis=-1))
 
     def test_binary_matches_density_oracle(self):
         bpsk = make_psk(2)
         rng = make_stream(2, 40)
-        n = 10_000
-        obs_sd = np.empty((2, n), dtype=complex)
-        obs_rd = np.empty((2, n), dtype=complex)
-        decisions = np.empty(n, dtype=int)
+        y_sd, y_rd, nv, _ = psk_obs(rng, bpsk, 8.0, 10_000)
         cfg = DecoderConfig(kind="ml", epsilons=(0.05,))
-        noise_var = 10.0 ** (-0.8)
-        for i in range(n):
-            obs, _ = random_psk_obs(rng, bpsk, 8.0)
-            obs = DestObservation(
-                sd_pair=obs.sd_pair, rd_pairs=obs.rd_pairs,
-                sd_noise_var=noise_var, rd_noise_vars=(noise_var,),
-            )
-            decisions[i] = ml_decode_psk(obs, bpsk, cfg)
-            obs_sd[:, i] = obs.sd_pair
-            obs_rd[:, i] = obs.rd_pairs[0]
+        decisions = decode_pairs(y_sd, y_rd, nv, bpsk, cfg)
         oracle = pdf_decode_psk(
-            obs_sd[0], obs_sd[1], obs_rd[None, 0], obs_rd[None, 1],
-            noise_var, (noise_var,), bpsk.points, (0.05,),
+            y_sd[:, 0], y_sd[:, 1], y_rd[..., 0], y_rd[..., 1],
+            nv, (nv,), bpsk.points, (0.05,),
         )
         assert np.array_equal(decisions, oracle)
 
     def test_phase_rotation_invariance(self):
         rng = make_stream(3, 40)
-        for _ in range(100):
-            obs, _ = random_psk_obs(rng, QPSK, 10.0)
-            cfg = DecoderConfig(kind="ml", epsilons=(1e-2,))
-            base = ml_decode_psk(obs, QPSK, cfg)
-            rot = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-            moved = DestObservation(
-                sd_pair=(obs.sd_pair[0] * rot, obs.sd_pair[1] * rot),
-                rd_pairs=tuple((a * rot, b * rot) for a, b in obs.rd_pairs),
-                sd_noise_var=obs.sd_noise_var, rd_noise_vars=obs.rd_noise_vars,
-            )
-            assert ml_decode_psk(moved, QPSK, cfg) == base
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 10.0, 100)
+        cfg = DecoderConfig(kind="ml", epsilons=(1e-2,))
+        base = decode_pairs(y_sd, y_rd, nv, QPSK, cfg)
+        rot = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(100, 1)))
+        moved = decode_pairs(y_sd * rot, y_rd * rot, nv, QPSK, cfg)
+        np.testing.assert_array_equal(moved, base)
 
     def test_naive_kind_equals_zero_eps(self):
         rng = make_stream(4, 40)
-        for _ in range(50):
-            obs, _ = random_psk_obs(rng, QPSK, 5.0)
-            naive = DecoderConfig(kind="naive_eps0", epsilons=(0.3,))
-            zero = DecoderConfig(kind="ml", epsilons=(0.0,))
-            assert ml_decode_psk(obs, QPSK, naive) == ml_decode_psk(obs, QPSK, zero)
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 5.0, 50)
+        naive = DecoderConfig(kind="naive_eps0", epsilons=(0.3,))
+        zero = DecoderConfig(kind="ml", epsilons=(0.0,))
+        np.testing.assert_array_equal(decode_pairs(y_sd, y_rd, nv, QPSK, naive),
+                                      decode_pairs(y_sd, y_rd, nv, QPSK, zero))
 
     def test_stabilized_matches_plain_arithmetic(self):
         rng = make_stream(5, 40)
         eps = 1e-2
-        for _ in range(200):
-            obs, _ = random_psk_obs(rng, QPSK, 12.0)
-            got = ml_decode_psk(obs, QPSK, DecoderConfig(kind="ml", epsilons=(eps,)))
-            t0 = np.real(np.conj(obs.sd_pair[1]) * obs.sd_pair[0] * QPSK.points)
-            t0 /= obs.sd_noise_var
-            pair = obs.rd_pairs[0]
-            t = np.real(np.conj(pair[1]) * pair[0] * QPSK.points) / obs.rd_noise_vars[0]
-            ex = np.exp(t)
-            mix = (1.0 - eps) * ex + eps / 3.0 * (ex.sum() - ex)
-            plain = t0 + np.log(mix)
-            assert got == np.argmax(plain)
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 12.0, 200)
+        got = decode_pairs(y_sd, y_rd, nv, QPSK, DecoderConfig(kind="ml", epsilons=(eps,)))
+        t0 = correlations(y_sd, QPSK.points, nv)
+        ex = np.exp(correlations(y_rd[0], QPSK.points, nv))
+        mix = (1.0 - eps) * ex + eps / 3.0 * (ex.sum(axis=-1, keepdims=True) - ex)
+        plain = t0 + np.log(mix)
+        np.testing.assert_array_equal(got, np.argmax(plain, axis=-1))
 
     def test_rejects_wrong_kind_and_counts(self):
-        obs, _ = random_psk_obs(make_stream(6, 40), QPSK, 10.0)
+        y_sd, y_rd, nv, _ = psk_obs(make_stream(6, 40), QPSK, 10.0, 1)
         with pytest.raises(ValueError):
-            ml_decode_psk(obs, QPSK, DecoderConfig(kind="pl", epsilons=(0.1,)))
+            decode_pairs(y_sd, y_rd, nv, QPSK, DecoderConfig(kind="ml", epsilons=(0.1, 0.1)))
         with pytest.raises(ValueError):
-            ml_decode_psk(obs, QPSK, DecoderConfig(kind="ml", epsilons=(0.1, 0.1)))
+            decode_psk_frames(y_sd, y_rd, nv, (nv, nv), QPSK,
+                              DecoderConfig(kind="ml", epsilons=(0.1,)))
         with pytest.raises(ValueError):
-            ml_decode_psk(obs, QAM16, DecoderConfig(kind="ml", epsilons=(0.1,)))
+            decode_pairs(y_sd, y_rd, nv, QAM16, DecoderConfig(kind="ml", epsilons=(0.1,)))
 
 
 class TestPlPsk:
@@ -278,27 +274,20 @@ class TestPlPsk:
 
     def test_linear_region_is_plain_argmax(self):
         rng = make_stream(8, 40)
-        for _ in range(50):
-            obs, _ = random_psk_obs(rng, QPSK, 6.0)
-            cfg = DecoderConfig(kind="pl", epsilons=(1e-9,))
-            got = pl_decode_psk(obs, QPSK, cfg)
-            t0 = np.real(np.conj(obs.sd_pair[1]) * obs.sd_pair[0] * QPSK.points)
-            t0 /= obs.sd_noise_var
-            pair = obs.rd_pairs[0]
-            t = np.real(np.conj(pair[1]) * pair[0] * QPSK.points) / obs.rd_noise_vars[0]
-            assert got == np.argmax(t0 + t)
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 6.0, 50)
+        got = decode_pairs(y_sd, y_rd, nv, QPSK, DecoderConfig(kind="pl", epsilons=(1e-9,)))
+        stats = correlations(y_sd, QPSK.points, nv) + correlations(y_rd[0], QPSK.points, nv)
+        np.testing.assert_array_equal(got, np.argmax(stats, axis=-1))
 
     def test_naive_threshold_coincides_with_ml(self):
+        # zero epsilons give the PL rule infinite thresholds, the naive ML rule
         rng = make_stream(9, 40)
-        for _ in range(100):
-            obs, _ = random_psk_obs(rng, QPSK, 4.0, n_relays=2)
-            naive_ml = ml_decode_psk(
-                obs, QPSK, DecoderConfig(kind="naive_eps0", epsilons=(0.1, 0.1))
-            )
-            naive_pl = pl_decode_psk(
-                obs, QPSK, DecoderConfig(kind="naive_eps0", epsilons=(0.1, 0.1))
-            )
-            assert naive_pl == naive_ml
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 4.0, 100, n_relays=2)
+        naive_ml = decode_pairs(y_sd, y_rd, nv, QPSK,
+                                DecoderConfig(kind="naive_eps0", epsilons=(0.1, 0.1)))
+        naive_pl = decode_pairs(y_sd, y_rd, nv, QPSK,
+                                DecoderConfig(kind="pl", epsilons=(0.0, 0.0)))
+        np.testing.assert_array_equal(naive_pl, naive_ml)
 
     def test_cyclic_majority_falls_back_to_totals(self):
         base = np.zeros(3)
@@ -308,7 +297,7 @@ class TestPlPsk:
             [1.0, 0.0, 2.0],
         ])
         thresholds = (1.5, 1.5, 1.5)
-        winner, n_fallback = _pairwise_select(base, rels, thresholds)
+        winner, n_fallback = pairwise_select(base, rels, thresholds)
         assert n_fallback == 1
         assert winner == 0
 
@@ -318,7 +307,7 @@ class TestPlPsk:
             base = rng.normal(size=8)
             rels = rng.normal(size=(2, 8))
             thr = (1.0, 2.0)
-            winner, _ = _pairwise_select(base, rels, thr)
+            winner, _ = pairwise_select(base, rels, thr)
             diff0 = base[winner] - base
             diffm = np.clip(rels[:, winner][:, None] - rels, -np.array(thr)[:, None],
                             np.array(thr)[:, None]).sum(axis=0)
@@ -330,34 +319,27 @@ class TestPlPsk:
 
 
 class TestQamDecoders:
-    def genie_cfg(self, kind, eps, sd_mag, rd_mag):
-        return DecoderConfig(
-            kind=kind, epsilons=(eps,),
-            qam_feedback=QamFeedback(source_prev_mag=sd_mag, relay_prev_mags=(rd_mag,)),
-        )
-
     def test_noiseless_recovery(self):
         rng = make_stream(11, 40)
-        for _ in range(30):
-            kp = int(rng.integers(0, 16))
-            k = int(rng.integers(0, 16))
-            x_prev = complex(QAM16.points[kp])
-            x = complex(QAM16.points[k])
-            v_prev = x_prev
-            v_curr = x_prev * x / abs(x_prev)
-            h_sd = draw_block_gain(LinkParams(1.0, 0.1), rng)
-            h_rd = draw_block_gain(LinkParams(1.0, 0.1), rng)
-            obs = DestObservation(
-                sd_pair=(h_sd * v_prev, h_sd * v_curr),
-                rd_pairs=((h_rd * v_prev, h_rd * v_curr),),
-                sd_noise_var=1e-12, rd_noise_vars=(1e-12,),
-            )
-            cfg = self.genie_cfg("ml", 0.0, abs(x_prev), abs(x_prev))
-            assert ml_decode_qam(obs, QAM16, cfg) == k
-            cfg_pl = self.genie_cfg("pl", 1e-6, abs(x_prev), abs(x_prev))
-            assert pl_decode_qam(obs, QAM16, cfg_pl) == k
+        idx = np.empty((30, 2), dtype=np.int64)
+        y_sd = np.empty((30, 3), dtype=complex)
+        y_rd = np.empty((1, 30, 3), dtype=complex)
+        for i in range(30):
+            idx[i] = rng.integers(0, 16), rng.integers(0, 16)
+            v = encode_qam_frame(idx[i], QAM16)
+            y_sd[i] = draw_block_gain(LinkParams(1.0, 0.1), rng) * v
+            y_rd[0, i] = draw_block_gain(LinkParams(1.0, 0.1), rng) * v
+        cfg = DecoderConfig(kind="genie_reference", epsilons=(0.0,))
+        got, _ = decode_qam_frames(y_sd, y_rd, 1e-12, (1e-12,), QAM16, cfg,
+                                   true_source_idx=idx, true_relay_idx=idx[None])
+        np.testing.assert_array_equal(got, idx)
+        cfg_pl = DecoderConfig(kind="pl", epsilons=(1e-6,))
+        got, _ = decode_qam_frames(y_sd, y_rd, 1e-12, (1e-12,), QAM16, cfg_pl)
+        np.testing.assert_array_equal(got, idx)
 
     def test_matches_density_oracle(self):
+        # frames [kp, k] with the true previous symbols fed back: the second
+        # decision sees the magnitude |x_kp| on both links
         rng = make_stream(12, 40)
         n = 2000
         noise_var = 10.0 ** (-1.4)
@@ -375,53 +357,24 @@ class TestQamDecoders:
         rd = (h_rd * v_prev + e[2], h_rd * v_curr + e[3])
         mags = np.abs(x_prev)
         eps = 0.07
-        got = np.empty(n, dtype=int)
-        for i in range(n):
-            obs = DestObservation(
-                sd_pair=(complex(sd[0][i]), complex(sd[1][i])),
-                rd_pairs=((complex(rd[0][i]), complex(rd[1][i])),),
-                sd_noise_var=noise_var, rd_noise_vars=(noise_var,),
-            )
-            cfg = self.genie_cfg("ml", eps, float(mags[i]), float(mags[i]))
-            got[i] = ml_decode_qam(obs, QAM16, cfg)
+        true_idx = np.stack([idx_prev, idx], axis=-1)
+        cfg = DecoderConfig(kind="genie_reference", epsilons=(eps,))
+        got, _ = decode_qam_frames(
+            np.stack([h_sd, *sd], axis=-1), np.stack([h_rd, *rd], axis=-1)[None],
+            noise_var, (noise_var,), QAM16, cfg,
+            true_source_idx=true_idx, true_relay_idx=true_idx[None],
+        )
         oracle = pdf_decode_qam(
             sd[0], sd[1], rd[0][None], rd[1][None], noise_var, (noise_var,),
             QAM16.points, (eps,), mags, mags[None],
         )
-        assert np.array_equal(got, oracle)
+        assert np.array_equal(got[:, 1], oracle)
 
     def test_requires_feedback(self):
-        obs = DestObservation(
-            sd_pair=(1.0 + 0j, 1.0 + 0j), rd_pairs=((1.0 + 0j, 1.0 + 0j),),
-            sd_noise_var=0.1, rd_noise_vars=(0.1,),
-        )
+        cfg = DecoderConfig(kind="genie_reference", epsilons=(0.1,))
         with pytest.raises(ValueError):
-            ml_decode_qam(obs, QAM16, DecoderConfig(kind="ml", epsilons=(0.1,)))
-
-    def test_estimate_relay_prev_noiseless_and_oracle(self):
-        rng = make_stream(13, 40)
-        for _ in range(50):
-            kp = int(rng.integers(0, 16))
-            k = int(rng.integers(0, 16))
-            x_prev = complex(QAM16.points[kp])
-            x = complex(QAM16.points[k])
-            h = draw_block_gain(LinkParams(1.0, 0.1), rng)
-            y0 = h * x_prev
-            y1 = h * x_prev * x / abs(x_prev)
-            got, mag = dest_estimate_relay_prev(y0, y1, QAM16, 1e-12, abs(x_prev))
-            assert got == k
-            assert mag == pytest.approx(abs(QAM16.points[k]))
-        for _ in range(200):
-            y0, y1 = (complex(a, b) for a, b in rng.normal(size=(2, 2)))
-            m = float(rng.uniform(0.4, 2.0))
-            nv = float(10.0 ** rng.uniform(-2, 0))
-            got, _ = dest_estimate_relay_prev(y0, y1, QAM16, nv, m)
-            obj = [
-                math.log(1.0 + abs(x) ** 2 / m**2)
-                + abs(y1 - y0 * x / m) ** 2 / ((1.0 + abs(x) ** 2 / m**2) * nv)
-                for x in QAM16.points
-            ]
-            assert got == int(np.argmin(obj))
+            decode_qam_frames(np.ones((1, 3), dtype=complex), np.ones((1, 1, 3), dtype=complex),
+                              0.1, (0.1,), QAM16, cfg)
 
 
 class TestFrameDecoders:
@@ -445,18 +398,19 @@ class TestFrameDecoders:
         for kind in ("ml", "pl", "naive_eps0"):
             cfg = DecoderConfig(kind=kind, epsilons=(0.05, 0.1))
             got, _ = decode_psk_frames(y_sd, y_rd, nv, (nv, nv), QPSK, cfg)
-            decode = pl_decode_psk if kind == "pl" else ml_decode_psk
-            for b in range(2):
-                for n in range(5):
-                    obs = DestObservation(
-                        sd_pair=(complex(y_sd[b, n]), complex(y_sd[b, n + 1])),
-                        rd_pairs=tuple(
-                            (complex(y_rd[r, b, n]), complex(y_rd[r, b, n + 1]))
-                            for r in range(2)
-                        ),
-                        sd_noise_var=nv, rd_noise_vars=(nv, nv),
+            for n in range(5):
+                if kind == "pl":
+                    base = correlations(y_sd[:, n:n + 2], QPSK.points, nv)
+                    rels = np.stack([correlations(y[:, n:n + 2], QPSK.points, nv)
+                                     for y in y_rd], axis=-2)
+                    expect, _ = pairwise_select_bruteforce(
+                        base, rels, cfg.resolved_thresholds(4))
+                else:
+                    expect = pdf_decode_psk(
+                        y_sd[:, n], y_sd[:, n + 1], y_rd[:, :, n], y_rd[:, :, n + 1],
+                        nv, (nv, nv), QPSK.points, cfg.effective_epsilons(),
                     )
-                    assert got[b, n] == decode(obs, QPSK, cfg)
+                np.testing.assert_array_equal(got[:, n], expect)
 
     def test_qam_frames_match_scalar_chains(self):
         rng = make_stream(15, 40)
@@ -478,34 +432,28 @@ class TestFrameDecoders:
             got, _ = decode_qam_frames(
                 y_sd, y_rd[None], noise_var, (noise_var,), QAM16, cfg
             )
-            decode = pl_decode_qam if kind == "pl" else ml_decode_qam
-            for b in range(n_batch):
-                m0 = 1.0
-                chain = 1.0
-                for n in range(n_data):
-                    if n == 0:
-                        mr = 1.0
-                    else:
-                        _, est_mag = dest_estimate_relay_prev(
-                            complex(y_rd[b, n - 1]), complex(y_rd[b, n]),
-                            QAM16, noise_var, chain,
-                        )
-                        mr = est_mag
-                        chain = est_mag
-                    obs = DestObservation(
-                        sd_pair=(complex(y_sd[b, n]), complex(y_sd[b, n + 1])),
-                        rd_pairs=((complex(y_rd[b, n]), complex(y_rd[b, n + 1])),),
-                        sd_noise_var=noise_var, rd_noise_vars=(noise_var,),
+            m0 = np.ones(n_batch)
+            mr = np.ones(n_batch)
+            for n in range(n_data):
+                if n > 0:
+                    # the destination re-decides the relay's previous symbol
+                    obj = qam_pair_objective(y_rd[:, n - 1, None], y_rd[:, n, None],
+                                             noise_var, QAM16.points, mr[:, None])
+                    mr = np.abs(QAM16.points[np.argmin(obj, axis=-1)])
+                if kind == "ml":
+                    k = pdf_decode_qam(
+                        y_sd[:, n], y_sd[:, n + 1], y_rd[None, :, n], y_rd[None, :, n + 1],
+                        noise_var, (noise_var,), QAM16.points, (eps,), m0, mr[None],
                     )
-                    step_cfg = DecoderConfig(
-                        kind=kind, epsilons=(eps,),
-                        qam_feedback=QamFeedback(
-                            source_prev_mag=m0, relay_prev_mags=(mr,)
-                        ),
-                    )
-                    k = decode(obs, QAM16, step_cfg)
-                    assert got[b, n] == k
-                    m0 = float(abs(QAM16.points[k]))
+                else:
+                    base = -qam_pair_objective(y_sd[:, n, None], y_sd[:, n + 1, None],
+                                               noise_var, QAM16.points, m0[:, None])
+                    rel = -qam_pair_objective(y_rd[:, n, None], y_rd[:, n + 1, None],
+                                              noise_var, QAM16.points, mr[:, None])
+                    k, _ = pairwise_select_bruteforce(base, rel[:, None],
+                                                      cfg.resolved_thresholds(16))
+                np.testing.assert_array_equal(got[:, n], k)
+                m0 = np.abs(QAM16.points[k])
 
     def test_qam_genie_reference_uses_true_magnitudes(self):
         rng = make_stream(16, 40)
@@ -521,27 +469,21 @@ class TestFrameDecoders:
             + draw_noise(noise_var, rng, size=(n_batch, n_data + 1))
         y_rd = draw_block_gain(link, rng, size=(n_batch, 1)) * v_r \
             + draw_noise(noise_var, rng, size=(n_batch, n_data + 1))
-        true_source_mags = np.abs(QAM16.points[idx])
-        true_relay_mags = np.abs(QAM16.points[relay_decisions])[None]
         cfg = DecoderConfig(kind="genie_reference", epsilons=(0.05,))
         got, _ = decode_qam_frames(
             y_sd, y_rd[None], noise_var, (noise_var,), QAM16, cfg,
             true_source_idx=idx, true_relay_idx=relay_decisions[None],
         )
-        for b in range(n_batch):
-            for n in range(n_data):
-                m0 = 1.0 if n == 0 else float(true_source_mags[b, n - 1])
-                mr = 1.0 if n == 0 else float(true_relay_mags[0, b, n - 1])
-                obs = DestObservation(
-                    sd_pair=(complex(y_sd[b, n]), complex(y_sd[b, n + 1])),
-                    rd_pairs=((complex(y_rd[b, n]), complex(y_rd[b, n + 1])),),
-                    sd_noise_var=noise_var, rd_noise_vars=(noise_var,),
-                )
-                step_cfg = DecoderConfig(
-                    kind="genie_reference", epsilons=(0.05,),
-                    qam_feedback=QamFeedback(source_prev_mag=m0, relay_prev_mags=(mr,)),
-                )
-                assert got[b, n] == ml_decode_qam(obs, QAM16, step_cfg)
+        source_mags = np.abs(QAM16.points[idx])
+        relay_mags = np.abs(QAM16.points[relay_decisions])
+        for n in range(n_data):
+            m0 = np.ones(n_batch) if n == 0 else source_mags[:, n - 1]
+            mr = np.ones(n_batch) if n == 0 else relay_mags[:, n - 1]
+            expect = pdf_decode_qam(
+                y_sd[:, n], y_sd[:, n + 1], y_rd[None, :, n], y_rd[None, :, n + 1],
+                noise_var, (noise_var,), QAM16.points, (0.05,), m0, mr[None],
+            )
+            np.testing.assert_array_equal(got[:, n], expect)
         with pytest.raises(ValueError):
             decode_qam_frames(y_sd, y_rd[None], noise_var, (noise_var,), QAM16, cfg)
 
@@ -571,28 +513,22 @@ class TestOpCounting:
 
     def test_counted_ml_decision_matches_production(self):
         rng = make_stream(18, 40)
-        for _ in range(100):
-            obs, _ = random_psk_obs(rng, QPSK, 10.0)
-            eps = 1e-2
-            counted, _ = _counted_ml_decode(
-                obs.sd_pair, obs.rd_pairs[0], QPSK.points, eps,
-                obs.sd_noise_var, obs.rd_noise_vars[0],
-            )
-            cfg = DecoderConfig(kind="ml", epsilons=(eps,))
-            assert counted == ml_decode_psk(obs, QPSK, cfg)
+        eps = 1e-2
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 10.0, 100)
+        got = decode_pairs(y_sd, y_rd, nv, QPSK, DecoderConfig(kind="ml", epsilons=(eps,)))
+        for i in range(100):
+            counted, _ = _counted_ml_decode(y_sd[i], y_rd[0, i], QPSK.points, eps, nv, nv)
+            assert counted == got[i]
 
     def test_counted_pl_decision_matches_production_on_unanimous(self):
         rng = make_stream(19, 40)
         eps = 1e-2
         threshold = clip_threshold(4, eps)
-        for _ in range(100):
-            obs, _ = random_psk_obs(rng, QPSK, 10.0)
-            counted, _ = _counted_pl_decode(
-                obs.sd_pair, obs.rd_pairs[0], QPSK.points, threshold,
-                obs.sd_noise_var, obs.rd_noise_vars[0],
-            )
-            cfg = DecoderConfig(kind="pl", epsilons=(eps,))
-            assert counted == pl_decode_psk(obs, QPSK, cfg)
+        y_sd, y_rd, nv, _ = psk_obs(rng, QPSK, 10.0, 100)
+        got = decode_pairs(y_sd, y_rd, nv, QPSK, DecoderConfig(kind="pl", epsilons=(eps,)))
+        for i in range(100):
+            counted, _ = _counted_pl_decode(y_sd[i], y_rd[0, i], QPSK.points, threshold, nv, nv)
+            assert counted == got[i]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -611,7 +547,7 @@ class TestKernelOracles:
         for lead in [(), (7,), (3, 5), (64,)]:
             base = rng.normal(scale=0.3, size=lead + (m,))
             rels = rng.normal(scale=2.0, size=lead + (n_rel, m))
-            got = _pairwise_select(base, rels, thresholds)
+            got = pairwise_select(base, rels, thresholds)
             expect = pairwise_select_bruteforce(base, rels, thresholds)
             assert np.shape(got[0]) == lead
             np.testing.assert_array_equal(got[0], expect[0])

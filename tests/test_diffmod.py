@@ -4,62 +4,47 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import diff_encode_stream
+
 from diffrelay.constellation import make_psk, make_qam
-from diffrelay.diffmod import (
-    DiffState,
-    encode_psk,
-    encode_psk_frame,
-    encode_qam,
-    encode_qam_frame,
-)
+from diffrelay.diffmod import encode_psk_frame, encode_qam_frame
 
 
 class TestDiffState:
     def test_initialization(self):
-        state = DiffState()
-        assert state.prev_v == 1.0 + 0.0j
-        assert state.prev_x_mag == 1.0
-
-    def test_rejects_bad_magnitude(self):
-        with pytest.raises(ValueError):
-            DiffState(prev_x_mag=0.0)
+        # both streams start from v[0] = 1 with |x[0]| taken as 1
+        psk, qam = make_psk(4), make_qam(16)
+        v = encode_psk_frame(np.array([1]), psk)
+        assert v[0] == 1.0 + 0.0j
+        w = encode_qam_frame(np.array([3]), qam)
+        assert w[0] == 1.0 + 0.0j
+        assert w[1] == qam.points[3]
 
 
 class TestEncodePsk:
     def test_identity_start(self):
-        state, v = encode_psk(DiffState(), 1j)
-        assert v == 1j
-        assert state.prev_v == 1j
+        v = encode_psk_frame(np.array([1]), make_psk(4))
+        assert v[1] == pytest.approx(1j, abs=1e-15)
 
     def test_all_ones_is_fixed_point(self):
-        state = DiffState()
-        for _ in range(10):
-            state, v = encode_psk(state, 1.0)
-            assert v == 1.0 + 0.0j
+        v = encode_psk_frame(np.zeros(10, dtype=int), make_psk(4))
+        assert np.all(v == 1.0 + 0.0j)
 
     def test_unit_modulus_closure(self):
         rng = np.random.default_rng(7)
-        points = make_psk(8).points
-        state = DiffState()
-        for x in points[rng.integers(0, 8, size=100)]:
-            state, v = encode_psk(state, x)
-            assert abs(abs(v) - 1.0) < 1e-12
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            encode_psk(DiffState(), 0.5 + 0.0j)
+        v = encode_psk_frame(rng.integers(0, 8, size=100), make_psk(8))
+        assert np.all(np.abs(np.abs(v) - 1.0) < 1e-12)
 
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=50))
     def test_rotation_equivariance(self, shift, length):
         spec = make_psk(8)
         rng = np.random.default_rng(length)
-        xs = spec.points[rng.integers(0, 8, size=length)]
+        idx = rng.integers(0, 8, size=length)
         rho = spec.points[shift]
-        state_a = state_b = DiffState()
-        for n, x in enumerate(xs, start=1):
-            state_a, va = encode_psk(state_a, x)
-            state_b, vb = encode_psk(state_b, x * rho)
-            assert vb == pytest.approx(va * rho**n, abs=1e-9)
+        va = encode_psk_frame(idx, spec)
+        vb = encode_psk_frame((idx + shift) % 8, spec)
+        n = np.arange(length + 1)
+        np.testing.assert_allclose(vb, va * rho**n, rtol=0.0, atol=1e-9)
 
 
 class TestEncodeQam:
@@ -67,24 +52,17 @@ class TestEncodeQam:
         spec = make_qam(16)
         x1 = spec.points[0]
         x2 = spec.points[5]
-        state, v1 = encode_qam(DiffState(), x1)
-        assert v1 == pytest.approx(x1, abs=1e-15)
-        _, v2 = encode_qam(state, x2)
-        assert v2 == pytest.approx(x1 * x2 / abs(x1), abs=1e-14)
+        v = encode_qam_frame(np.array([0, 5]), spec)
+        assert v[1] == pytest.approx(x1, abs=1e-15)
+        assert v[2] == pytest.approx(x1 * x2 / abs(x1), abs=1e-14)
 
     def test_constant_modulus_subsequence(self):
         spec = make_qam(16)
-        ring = [p for p in spec.points if abs(abs(p) - abs(spec.points[0])) < 1e-12]
-        state = DiffState()
-        mags = []
-        for x in ring * 3:
-            state, v = encode_qam(state, x)
-            mags.append(abs(v))
+        ring = [k for k, p in enumerate(spec.points)
+                if abs(abs(p) - abs(spec.points[0])) < 1e-12]
+        v = encode_qam_frame(np.array(ring * 3), spec)
+        mags = np.abs(v[1:])
         assert np.allclose(mags, mags[0])
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            encode_qam(DiffState(), 0.0)
 
     def test_transmitted_magnitude_tracks_alphabet(self):
         # |v[n]| = |x[n]| exactly, so the empirical transmitted power equals
@@ -105,10 +83,8 @@ class TestFrameEncoders:
         idx = rng.integers(0, 4, size=20)
         frame = encode_psk_frame(idx, spec)
         assert frame[0] == 1.0 + 0.0j
-        state = DiffState()
-        for n, k in enumerate(idx, start=1):
-            state, v = encode_psk(state, spec.points[k])
-            assert frame[n] == pytest.approx(v, abs=1e-12)
+        np.testing.assert_allclose(frame, diff_encode_stream(spec.points[idx]),
+                                   rtol=0.0, atol=1e-12)
 
     def test_qam_frame_matches_streaming(self):
         spec = make_qam(16)
@@ -116,10 +92,8 @@ class TestFrameEncoders:
         idx = rng.integers(0, 16, size=20)
         frame = encode_qam_frame(idx, spec)
         assert frame[0] == 1.0 + 0.0j
-        state = DiffState()
-        for n, k in enumerate(idx, start=1):
-            state, v = encode_qam(state, spec.points[k])
-            assert frame[n] == pytest.approx(v, abs=1e-12)
+        np.testing.assert_allclose(frame, diff_encode_stream(spec.points[idx]),
+                                   rtol=0.0, atol=1e-12)
 
     def test_batch_shapes(self):
         spec = make_psk(8)

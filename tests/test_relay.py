@@ -8,21 +8,19 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from oracles import qam_pair_objective
+
 from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.diffmod import encode_psk_frame, encode_qam_frame
 from diffrelay.relay import (
     EpsilonEstimate,
-    RelayObservation,
     analytic_epsilon_psk,
     calibrate_epsilon,
-    demod_psk,
     demod_psk_frame,
-    demod_qam,
     demod_qam_frame,
     load_epsilon_table,
     qam_objective,
-    qam_pair_objective,
     relay_process_frame,
     save_epsilon_table,
 )
@@ -36,12 +34,6 @@ def link_at(snr_db: float) -> LinkParams:
 
 
 class TestTypes:
-    def test_observation_validation(self):
-        with pytest.raises(ValueError):
-            RelayObservation(y_prev=1.0 + 0j, y_curr=0j, noise_var=0.0)
-        with pytest.raises(ValueError):
-            RelayObservation(y_prev=complex("nan"), y_curr=0j, noise_var=0.1)
-
     def test_estimate_validation(self):
         EpsilonEstimate(value=0.1, method="monte_carlo", trials=10, std_err=0.01)
         with pytest.raises(ValueError):
@@ -54,25 +46,27 @@ class TestTypes:
             EpsilonEstimate(value=0.1, method="analytic_approx", trials=0, std_err=-1.0)
 
 
+def pair_frames(y_prev, y_curr):
+    """One-data-symbol frames (..., 2) from the two samples of each pair."""
+    return np.stack(np.broadcast_arrays(y_prev, y_curr), axis=-1)
+
+
 class TestDemodPsk:
     def test_noiseless_recovery(self):
         rng = make_stream(0, 10)
-        for _ in range(20):
-            h = draw_block_gain(link_at(10.0), rng)
-            k = int(rng.integers(0, 4))
-            v_prev = complex(QPSK.points[int(rng.integers(0, 4))])
-            v_curr = v_prev * complex(QPSK.points[k])
-            obs = RelayObservation(y_prev=h * v_prev, y_curr=h * v_curr, noise_var=0.1)
-            assert demod_psk(obs, QPSK) == k
+        h = draw_block_gain(link_at(10.0), rng, size=20)
+        k = rng.integers(0, 4, size=20)
+        v_prev = QPSK.points[rng.integers(0, 4, size=20)]
+        y = pair_frames(h * v_prev, h * v_prev * QPSK.points[k])
+        np.testing.assert_array_equal(demod_psk_frame(y, QPSK)[:, 0], k)
 
     def test_identity_pair_decides_reference_symbol(self):
-        obs = RelayObservation(y_prev=0.7 - 0.2j, y_curr=0.7 - 0.2j, noise_var=0.1)
-        assert demod_psk(obs, QPSK) == 0
+        y = pair_frames(0.7 - 0.2j, 0.7 - 0.2j)
+        assert demod_psk_frame(y, QPSK)[0] == 0
 
     def test_rejects_qam(self):
-        obs = RelayObservation(y_prev=1.0 + 0j, y_curr=1.0 + 0j, noise_var=0.1)
         with pytest.raises(ValueError):
-            demod_psk(obs, QAM16)
+            demod_psk_frame(pair_frames(1.0 + 0j, 1.0 + 0j), QAM16)
 
     @given(
         re0=st.floats(-2, 2), im0=st.floats(-2, 2),
@@ -86,8 +80,8 @@ class TestDemodPsk:
         top = np.sort(metric)
         assume(top[-1] - top[-2] > 1e-6)
         rot = scale * complex(math.cos(phase), math.sin(phase))
-        base = demod_psk(RelayObservation(y0, y1, 0.1), QPSK)
-        moved = demod_psk(RelayObservation(rot * y0, rot * y1, 0.1), QPSK)
+        base = demod_psk_frame(pair_frames(y0, y1), QPSK)
+        moved = demod_psk_frame(pair_frames(rot * y0, rot * y1), QPSK)
         assert moved == base
 
     @given(
@@ -101,9 +95,10 @@ class TestDemodPsk:
         r = (np.conj(y1) * y0).real
         assume(abs(r) > 1e-12)
         expected = 0 if r > 0 else 1
-        assert demod_psk(RelayObservation(y0, y1, 0.1), bpsk) == expected
+        assert demod_psk_frame(pair_frames(y0, y1), bpsk)[0] == expected
 
     def test_frame_matches_scalar(self):
+        # each decision depends on its own sample pair only
         rng = make_stream(1, 10)
         idx = rng.integers(0, 4, size=(3, 8))
         v = encode_psk_frame(idx, QPSK)
@@ -112,8 +107,7 @@ class TestDemodPsk:
         d = demod_psk_frame(y, QPSK)
         for b in range(3):
             for n in range(8):
-                obs = RelayObservation(complex(y[b, n]), complex(y[b, n + 1]), 10.0 ** -0.8)
-                assert d[b, n] == demod_psk(obs, QPSK)
+                assert d[b, n] == demod_psk_frame(y[b, n:n + 2], QPSK)[0]
 
     @pytest.mark.parametrize("m", range(2, 33))
     def test_frame_matches_argmax_rule(self, m):
@@ -172,16 +166,10 @@ def qam_objective_reference(y0, y1, noise_var, points, m):
 class TestDemodQam:
     def test_noiseless_recovery(self):
         rng = make_stream(0, 20)
-        for _ in range(20):
-            h = draw_block_gain(link_at(10.0), rng)
-            kp = int(rng.integers(0, 16))
-            k = int(rng.integers(0, 16))
-            x_prev = complex(QAM16.points[kp])
-            x = complex(QAM16.points[k])
-            v_prev = x_prev
-            v_curr = x_prev * x / abs(x_prev)
-            obs = RelayObservation(h * v_prev, h * v_curr, 1e-12)
-            assert demod_qam(obs, QAM16, abs(x_prev)) == k
+        h = draw_block_gain(link_at(10.0), rng, size=(20, 1))
+        idx = rng.integers(0, 16, size=(20, 2))
+        y = h * encode_qam_frame(idx, QAM16)
+        np.testing.assert_array_equal(demod_qam_frame(y, QAM16, 1e-12), idx)
 
     def test_constant_modulus_subset_reduces_to_psk_rule(self):
         unit = [i for i, p in enumerate(QAM16.points) if abs(abs(p) - 1.0) < 1e-12]
@@ -197,21 +185,22 @@ class TestDemodQam:
 
     def test_matches_reference_implementation(self):
         rng = make_stream(2, 20)
+        prev_mag = np.concatenate(([1.0], np.abs(QAM16.points)))
         for _ in range(500):
             y0, y1 = (complex(a, b) for a, b in rng.normal(size=(2, 2)))
-            m = float(rng.uniform(0.3, 3.0))
+            row = int(rng.integers(0, 17))
             noise_var = float(10.0 ** rng.uniform(-3, 0))
-            obs = RelayObservation(y0, y1, noise_var)
-            assert demod_qam(obs, QAM16, m) == qam_objective_reference(
-                y0, y1, noise_var, QAM16.points, m
+            got = np.argmin(qam_objective(y0, y1, noise_var, QAM16, row))
+            assert got == qam_objective_reference(
+                y0, y1, noise_var, QAM16.points, prev_mag[row]
             )
 
     def test_prev_mag_validation(self):
-        obs = RelayObservation(1.0 + 0j, 1.0 + 0j, 0.1)
+        y = np.ones((1, 2), dtype=complex)
         with pytest.raises(ValueError):
-            demod_qam(obs, QAM16, 0.0)
+            demod_qam_frame(y, QAM16, 0.0)
         with pytest.raises(ValueError):
-            demod_qam(obs, make_psk(4), 1.0)
+            demod_qam_frame(y, make_psk(4), 1.0)
 
     def test_frame_chain_matches_scalar_feedback(self):
         rng = make_stream(3, 20)
@@ -224,8 +213,8 @@ class TestDemodQam:
         for b in range(4):
             mag = 1.0
             for n in range(10):
-                obs = RelayObservation(complex(y[b, n]), complex(y[b, n + 1]), noise_var)
-                k = demod_qam(obs, QAM16, mag)
+                k = qam_objective_reference(complex(y[b, n]), complex(y[b, n + 1]),
+                                            noise_var, QAM16.points, mag)
                 assert d[b, n] == k
                 mag = abs(QAM16.points[k])
 
@@ -266,27 +255,17 @@ class TestDemodQam:
 
 
 class TestRelayProcessFrame:
-    def test_genie_reproduces_source_sequence(self):
-        rng = make_stream(0, 30)
-        for spec, encode in ((QPSK, encode_psk_frame), (QAM16, encode_qam_frame)):
-            idx = rng.integers(0, spec.M, size=(3, 12))
-            v = encode(idx, spec)
-            y = v * (0.4 - 1.1j)
-            v_r, decisions = relay_process_frame(y, spec, 0.1, mode="genie", true_indices=idx)
-            np.testing.assert_array_equal(decisions, idx)
-            np.testing.assert_allclose(v_r, v, atol=1e-12)
-
     def test_zero_noise_erroneous_equals_genie(self):
+        # a noiseless relay decides every symbol right and forwards the source frame
         rng = make_stream(1, 30)
         for spec, encode in ((QPSK, encode_psk_frame), (QAM16, encode_qam_frame)):
             idx = rng.integers(0, spec.M, size=(3, 12))
             v = encode(idx, spec)
             h = draw_block_gain(link_at(10.0), rng, size=(3, 1))
             y = h * v
-            v_err, d_err = relay_process_frame(y, spec, 1e-12, mode="erroneous")
-            v_gen, d_gen = relay_process_frame(y, spec, 1e-12, mode="genie", true_indices=idx)
-            np.testing.assert_array_equal(d_err, d_gen)
-            np.testing.assert_allclose(v_err, v_gen, atol=1e-12)
+            v_err, d_err = relay_process_frame(y, spec, 1e-12)
+            np.testing.assert_array_equal(d_err, idx)
+            np.testing.assert_allclose(v_err, v, atol=1e-12)
 
     def test_erroneous_psk_uses_frame_demodulator(self):
         rng = make_stream(2, 30)
@@ -301,10 +280,6 @@ class TestRelayProcessFrame:
     def test_validation(self):
         with pytest.raises(ValueError):
             relay_process_frame(np.ones(1, dtype=complex), QPSK, 0.1)
-        with pytest.raises(ValueError):
-            relay_process_frame(np.ones(3, dtype=complex), QPSK, 0.1, mode="genie")
-        with pytest.raises(ValueError):
-            relay_process_frame(np.ones(3, dtype=complex), QPSK, 0.1, mode="oracle")
 
     def test_frame_error_fraction_consistent_with_calibration(self):
         snr_db = 15.0
