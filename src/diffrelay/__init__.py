@@ -19,7 +19,7 @@ from .analysis import (
     pep_quadrature_approx,
     ser_nearest_neighbor,
 )
-from .channel import LinkParams, TopologyParams, make_stream
+from .channel import LinkParams, make_stream
 from .constellation import ConstellationSpec, make_psk, make_qam
 from .decoders import DecoderConfig, clip_threshold, count_ops
 from .relay import EpsilonEstimate, analytic_epsilon_psk, calibrate_epsilon
@@ -50,7 +50,6 @@ __all__ = [
     "SerPoint",
     "SeriesTruncation",
     "SnrPoint",
-    "TopologyParams",
     "TrialsPolicy",
     "analytic_epsilon_psk",
     "calibrate_epsilon",

@@ -6,25 +6,25 @@ Everything here evaluates the single-relay destination test
 
 where t0 and t are the source-destination and relay-destination differential
 correlation statistics and T is the clip level tied to the relay error rate.
-Two evaluators with different accuracy/cost trade-offs are provided:
+Averaged over Rayleigh fading each statistic is asymmetric-Laplace with side
+scales nu, mu, where nu - mu = gbar*z_s for the symbol s the link carries.
+The two SER routes share this law and one evaluator, and differ only in the
+product nu*mu:
 
 ``pep_exact``
-    The closed form, with no truncation at all: averaged over Rayleigh
-    fading each statistic is an indefinite Hermitian quadratic form in a
-    zero-mean complex Gaussian pair, so its unconditional law is two-sided
-    exponential with rates from a 2x2 eigenvalue problem, and every
-    probability piece reduces to elementary exponential integrals.  Requires
-    equal-modulus symbols.  The paper's averaged series expansion of the
-    same probability is kept only as a test oracle: its term-by-term fading
-    average is biased at low SNR and diverges for dense constellations at
-    high SNR.
+    The closed form, with no truncation at all.  Each statistic is an
+    indefinite Hermitian quadratic form in a zero-mean complex Gaussian
+    pair, so nu*mu = |xbar|^2 (2 gbar + 1)/4 exactly, and the clip-region
+    integral over [-T, T] is closed form too.  The paper's averaged series
+    for the same probability is kept only as a test oracle: its term-by-term
+    fading average is biased at low SNR and diverges for dense
+    constellations at high SNR.
 
 ``pep_quadrature_approx``
-    The Gaussian-statistic approximation.  Averaged over Rayleigh fading a
-    conditionally Gaussian statistic is asymmetric-Laplace, so its tails and
-    density are closed form; only the clip-region integral over [-T, T] runs
-    on a fixed 201-node Gauss-Legendre rule.  Cheap and applicable to any
-    PSK alphabet, accurate to a few percent at high SNR.
+    The paper's approximate SER, which ignores higher-order noise terms:
+    conditionally Gaussian statistics give nu*mu = gbar |xbar|^2/2, dropping
+    the noise-times-noise term |xbar|^2/4.  The clip-region integral runs on
+    a fixed 201-node Gauss-Legendre rule.  Within a few percent at high SNR.
 
 ``pep_asymptotic_conditional`` / ``pep_asymptotic_multirelay`` cover the
 high-SNR multirelay error floor, and ``fit_diversity_slope`` extracts
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
@@ -85,17 +85,16 @@ class SnrPoint:
 class PepTermsConfig:
     """Inputs shared by all pairwise-error-probability evaluators.
 
-    ``threshold`` defaults to the clip level implied by ``(m, eps)``; passing
-    an inconsistent value is rejected rather than silently accepted, because
-    the evaluators and the decoder must agree on the clip point.
+    ``threshold`` is not an argument: it is always the clip level implied by
+    ``(m, eps)``, so the evaluators and the decoder agree on the clip point.
     ``truncation`` is consulted only by ``pep_asymptotic_multirelay``.
     """
 
     snr_point: SnrPoint
     eps: float
     m: int
-    threshold: float | None = None
     truncation: SeriesTruncation = SeriesTruncation()
+    threshold: float = field(init=False)
 
     def __post_init__(self) -> None:
         if int(self.m) != self.m or self.m < 2:
@@ -103,24 +102,13 @@ class PepTermsConfig:
         object.__setattr__(self, "m", int(self.m))
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
-        derived = clip_threshold(self.m, self.eps)
-        if derived < 0.0:
+        threshold = clip_threshold(self.m, self.eps)
+        if threshold < 0.0:
             raise ValueError(
                 f"eps = {self.eps} exceeds the uniform-error rate for m = {self.m}; "
                 "the clip level would be negative"
             )
-        if self.threshold is None:
-            object.__setattr__(self, "threshold", derived)
-        else:
-            t = float(self.threshold)
-            if not math.isfinite(t) or t < 0.0:
-                raise ValueError(f"threshold must be finite and >= 0, got {t!r}")
-            if abs(t - derived) > 1e-6 * max(1.0, derived):
-                raise ValueError(
-                    f"threshold = {t} is inconsistent with the clip level "
-                    f"{derived} implied by (m = {self.m}, eps = {self.eps})"
-                )
-            object.__setattr__(self, "threshold", t)
+        object.__setattr__(self, "threshold", threshold)
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,7 @@ class PepResult:
 
 
 # ---------------------------------------------------------------------------
-# shared geometry
+# the shared error law
 
 
 def _locate(points: np.ndarray, x: complex, name: str) -> int:
@@ -150,103 +138,6 @@ def _locate(points: np.ndarray, x: complex, name: str) -> int:
     if dist[idx] > _POINT_MATCH_TOL:
         raise ValueError(f"{name} = {complex(x)!r} is not a constellation point")
     return idx
-
-
-def _pair_coefficients(points: np.ndarray, p: int, q: int):
-    """Exponent coefficient arrays for the pair decision (p over q).
-
-    For every constellation symbol s, ``b[s] = 2(2|xbar|^2 + beta_s)`` and
-    ``c[s] = 2(2|xbar|^2 - beta_s)`` with ``beta_s = 2 Re{x_s xbar*}`` and
-    ``xbar = x_p - x_q``; b and c sum to ``8|xbar|^2`` identically.
-    """
-    xbar = complex(points[p] - points[q])
-    abs2 = abs(xbar) ** 2
-    beta = 2.0 * np.real(points * np.conj(xbar))
-    b = 2.0 * (2.0 * abs2 + beta)
-    c = 2.0 * (2.0 * abs2 - beta)
-    return xbar, abs2, beta, b, c
-
-
-# ---------------------------------------------------------------------------
-# exact unconditional evaluation
-
-
-def _rates(abs2: float, beta: float, gbar: float) -> tuple[float, float]:
-    """Two-sided exponential rates (positive side, negative side).
-
-    Averaged over Rayleigh fading, the pair statistic conditioned on symbol s
-    is a quadratic form in a zero-mean complex Gaussian pair whose 2x2 kernel
-    has trace gbar*beta/2 and determinant -(abs2/4)(2 gbar + 1); its law is
-    P{t > w} = nu/(nu+m) e^(-w/nu) and P{t < -w} = m/(nu+m) e^(-w/m), w >= 0.
-    """
-    tr = gbar * beta / 2.0
-    disc = math.sqrt(tr * tr + abs2 * (2.0 * gbar + 1.0))
-    return (tr + disc) / 2.0, (disc - tr) / 2.0
-
-
-def _tails(nu: float, mneg: float, t: float) -> tuple[float, float]:
-    s = nu + mneg
-    return (nu / s) * math.exp(-t / nu), (mneg / s) * math.exp(-t / mneg)
-
-
-def _middle_integral(nu_s, m_s, nu_0, m_0, t) -> float:
-    """integral over [-T, T] of p_s(w) * P{t0 <= -w} dw, all closed form."""
-    if t <= 0.0:
-        return 0.0
-    c_s = 1.0 / (nu_s + m_s)
-    lo_0 = m_0 / (nu_0 + m_0)
-    hi_0 = nu_0 / (nu_0 + m_0)
-    k1 = 1.0 / nu_s + 1.0 / m_0
-    pos = c_s * lo_0 * (-math.expm1(-t * k1)) / k1
-    k2 = 1.0 / m_s + 1.0 / nu_0
-    neg = c_s * m_s * (-math.expm1(-t / m_s)) - c_s * hi_0 * (-math.expm1(-t * k2)) / k2
-    return pos + neg
-
-
-def _exact_value(points: np.ndarray, p: int, q: int, cfg: PepTermsConfig) -> float:
-    xbar, abs2, beta, _, _ = _pair_coefficients(points, p, q)
-    if abs(abs(points[p]) - abs(points[q])) > _POINT_MATCH_TOL:
-        raise ValueError("exact evaluation requires equal-modulus symbols")
-    t = cfg.threshold
-    eps = cfg.eps
-    m = cfg.m
-    gsd = cfg.snr_point.gamma_sd
-    grd = cfg.snr_point.gamma_rd
-
-    nu0, m0 = _rates(abs2, float(beta[p]), gsd)
-    hi0, lo0 = _tails(nu0, m0, t)
-
-    mix_lo = 0.0
-    mix_hi = 0.0
-    mid = 0.0
-    for s in range(m):
-        w = (1.0 - eps) if s == p else eps / (m - 1)
-        nus, ms = _rates(abs2, float(beta[s]), grd)
-        hi_s, lo_s = _tails(nus, ms, t)
-        mix_lo += w * lo_s
-        mix_hi += w * hi_s
-        mid += w * _middle_integral(nus, ms, nu0, m0, t)
-    return (1.0 - hi0) * mix_lo + lo0 * mix_hi + mid
-
-
-def pep_exact(x_p: complex, x_q: complex, cfg: PepTermsConfig) -> PepResult:
-    """Exact average pairwise error probability, no series or quadrature.
-
-    Uses the unconditional two-sided-exponential law of each pair statistic;
-    every piece of the error decomposition reduces to elementary exponential
-    integrals.  Valid for any equal-modulus alphabet at any SNR.  This is the
-    closed form behind the CLI's ``closed_form`` overlay.
-    """
-    points = make_psk(cfg.m).points
-    p = _locate(points, x_p, "x_p")
-    q = _locate(points, x_q, "x_q")
-    if p == q:
-        raise ValueError("x_p and x_q must be distinct constellation points")
-    return PepResult(_exact_value(points, p, q, cfg), True, ())
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-approximation quadrature evaluation
 
 
 @functools.cache
@@ -269,6 +160,14 @@ def _laplace_scales(z, scale2: float, gbar: float):
     return np.where(pos, big, small), np.where(pos, small, big)
 
 
+def _statistic_scales(z, abs2: float, gbar: float, exact: bool):
+    """Side scales of one route's fading-averaged statistic with mean z*gamma.
+
+    The exact law keeps the noise-times-noise term abs2/4 in nu*mu.
+    """
+    return _laplace_scales(z, abs2 * (1.0 + 0.5 / gbar) if exact else abs2, gbar)
+
+
 def _laplace_tail(tau, nu, mu):
     """P{X > tau} for the asymmetric-Laplace law with side scales (nu, mu)."""
     a = np.abs(tau)
@@ -282,14 +181,24 @@ def _laplace_density(w, nu, mu):
     return np.exp(-np.abs(w) / np.where(w >= 0.0, nu, mu)) / (nu + mu)
 
 
-def _quadrature_terms(x_p: complex, x_q: complex, cfg: PepTermsConfig):
-    """The probability pieces of the Gaussian-statistic approximation.
+def _clip_integral(t: float, nu, mu, nu0, mu0):
+    """Integral over [-T, T] of p(w) P{X0 > -w} dw, closed form.
 
-    Returns the two tail products and the clip-region integral, each
-    nonnegative.  Conditioned on the link gain gamma, the statistic for
-    symbol s is N(z_s*gamma, |xbar|^2*gamma); its fading average is
-    asymmetric-Laplace, so every tail and density is elementary and only the
-    clip-region integral over [-T, T] uses the fixed Gauss-Legendre rule.
+    p has side scales (nu, mu), one entry per relay symbol; X0 has (nu0, mu0).
+    """
+    k_pos = 1.0 / nu + 1.0 / mu0
+    k_neg = 1.0 / mu + 1.0 / nu0
+    pos = -nu * np.expm1(-t / nu) + mu0 / (nu0 + mu0) * np.expm1(-t * k_pos) / k_pos
+    neg = -nu0 / (nu0 + mu0) * np.expm1(-t * k_neg) / k_neg
+    return (pos + neg) / (nu + mu)
+
+
+def _pep_value(x_p: complex, x_q: complex, cfg: PepTermsConfig, exact: bool) -> float:
+    """Error probability of the pair decision (x_p over x_q) on one route.
+
+    The relay statistic is a mixture over the symbol s the relay sent, weight
+    1 - eps on x_p and eps/(M-1) on each other symbol.  The value is the two
+    tail products (relay clipped at -T or +T) plus the clip-region integral.
     """
     points = make_psk(cfg.m).points
     p = _locate(points, x_p, "x_p")
@@ -301,44 +210,51 @@ def _quadrature_terms(x_p: complex, x_q: complex, cfg: PepTermsConfig):
     # z_s * gamma with z_s = Re{x_s xbar*} and xbar = x_q - x_p; the
     # transmitted symbol has z < 0.
     xbar = complex(points[q] - points[p])
-    scale2 = abs(xbar) ** 2
+    abs2 = abs(xbar) ** 2
     z = np.real(points * np.conj(xbar))
     t = cfg.threshold
-    eps = cfg.eps
-    m = cfg.m
-    mix = np.full(m, eps / (m - 1))
-    mix[p] = 1.0 - eps
-    nu_sd, mu_sd = _laplace_scales(z[p], scale2, cfg.snr_point.gamma_sd)
-    nu_rd, mu_rd = _laplace_scales(z, scale2, cfg.snr_point.gamma_rd)
+    mix = np.full(cfg.m, cfg.eps / (cfg.m - 1))
+    mix[p] = 1.0 - cfg.eps
+    nu_sd, mu_sd = _statistic_scales(z[p], abs2, cfg.snr_point.gamma_sd, exact)
+    nu_rd, mu_rd = _statistic_scales(z, abs2, cfg.snr_point.gamma_rd, exact)
 
     # Source statistic beyond the clip on the wrong side, relay hard-correct;
     # negating z swaps the two side scales.
     i1 = float(_laplace_tail(t, nu_sd, mu_sd)) * float(mix @ _laplace_tail(t, mu_rd, nu_rd))
     i2 = float(_laplace_tail(-t, nu_sd, mu_sd)) * float(mix @ _laplace_tail(t, nu_rd, mu_rd))
 
-    if t > 0.0:
+    if t <= 0.0:
+        mid = 0.0
+    elif exact:
+        mid = float(mix @ _clip_integral(t, nu_rd, mu_rd, nu_sd, mu_sd))
+    else:
         nodes, weights = _legendre_rule()
         w_nodes = t * nodes
         g_vals = _laplace_tail(-w_nodes, nu_sd, mu_sd)
         density = _laplace_density(w_nodes, nu_rd[:, None], mu_rd[:, None])
-        i34 = float(mix @ (density @ (t * weights * g_vals)))
-    else:
-        i34 = 0.0
-    return i1, i2, i34
+        mid = float(mix @ (density @ (t * weights * g_vals)))
+    return min(max(i1 + i2 + mid, 0.0), 1.0)
+
+
+def pep_exact(x_p: complex, x_q: complex, cfg: PepTermsConfig) -> PepResult:
+    """Exact average pairwise error probability, no series or quadrature.
+
+    Every piece of the error decomposition under the exact law is an
+    elementary exponential integral, valid for any PSK alphabet at any SNR.
+    This is the closed form behind the CLI's ``closed_form`` overlay.
+    """
+    return PepResult(_pep_value(x_p, x_q, cfg, exact=True))
 
 
 def pep_quadrature_approx(x_p: complex, x_q: complex, cfg: PepTermsConfig) -> PepResult:
     """Pairwise error probability under the Gaussian-statistic approximation.
 
-    Models both differential statistics as conditionally Gaussian.  Averaged
-    over Rayleigh fading each becomes asymmetric-Laplace, so the tail factors
-    are closed form; the clip-region contribution is integrated on a fixed
-    201-node Gauss-Legendre rule over [-T, T].  Biased by the approximation
-    itself (a few percent at high SNR) but applicable to any PSK alphabet and
-    SNR.  Nothing is truncated or adaptive, so the result is always converged.
+    Models both differential statistics as conditionally Gaussian, which drops
+    the noise-times-noise term of the exact law; the clip-region integral runs
+    on the fixed 201-node Gauss-Legendre rule.  Biased by the approximation
+    (a few percent at high SNR), never truncated, so always converged.
     """
-    value = float(sum(_quadrature_terms(x_p, x_q, cfg)))
-    return PepResult(min(max(value, 0.0), 1.0), True, ())
+    return PepResult(_pep_value(x_p, x_q, cfg, exact=False))
 
 
 # ---------------------------------------------------------------------------

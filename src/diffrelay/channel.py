@@ -17,44 +17,21 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class LinkParams:
-    """One fading link: channel gain variance, noise variance, coherence."""
+    """One fading link: channel gain variance and noise variance."""
 
     sigma2: float
     noise_var: float
-    coherence_len: int = 65
 
     def __post_init__(self) -> None:
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
         if not self.noise_var > 0.0:
             raise ValueError(f"noise_var must be > 0, got {self.noise_var}")
-        if self.coherence_len < 2:
-            raise ValueError(f"coherence_len must be >= 2, got {self.coherence_len}")
 
     @property
     def avg_snr(self) -> float:
         """Average SNR of the link, sigma2 over this link's own noise variance."""
         return self.sigma2 / self.noise_var
-
-
-@dataclass(frozen=True)
-class TopologyParams:
-    """Direct link plus per-relay source-relay and relay-destination links."""
-
-    source_dest: LinkParams
-    source_relay: tuple[LinkParams, ...] = ()
-    relay_dest: tuple[LinkParams, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.source_relay) != len(self.relay_dest):
-            raise ValueError(
-                "source_relay and relay_dest must have equal length, got "
-                f"{len(self.source_relay)} and {len(self.relay_dest)}"
-            )
-
-    @property
-    def n_relays(self) -> int:
-        return len(self.source_relay)
 
 
 def make_stream(seed: int, *path: int) -> np.random.Generator:

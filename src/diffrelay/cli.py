@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -38,7 +37,7 @@ from .analysis import (
     ser_nearest_neighbor,
 )
 from .channel import LinkParams
-from .constellation import ConstellationSpec, make_psk, make_qam
+from .constellation import make_psk, make_qam
 from .decoders import DecoderConfig, count_ops
 from .relay import calibrate_epsilon, load_epsilon_table, save_epsilon_table
 from .simkit import ExperimentPlan, SerCurve, TrialsPolicy, compare_curves, run_sweep

@@ -47,18 +47,12 @@ class DecoderConfig:
 
     kind: str
     epsilons: tuple[float, ...] = ()
-    thresholds: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if any(not 0.0 <= e < 1.0 for e in self.epsilons):
             raise ValueError("epsilons must lie in [0, 1)")
-        if self.thresholds is not None:
-            if len(self.thresholds) != len(self.epsilons):
-                raise ValueError("thresholds must match epsilons in length")
-            if any(not t > 0.0 for t in self.thresholds):
-                raise ValueError("thresholds must be > 0")
 
     def effective_epsilons(self) -> tuple[float, ...]:
         if self.kind == "naive_eps0":
@@ -66,12 +60,8 @@ class DecoderConfig:
         return self.epsilons
 
     def resolved_thresholds(self, m: int) -> tuple[float, ...]:
-        if self.kind == "naive_eps0":
-            return tuple(math.inf for _ in self.epsilons)
-        if self.thresholds is not None:
-            return self.thresholds
         return tuple(
-            clip_threshold(m, e) if e > 0.0 else math.inf for e in self.epsilons
+            clip_threshold(m, e) if e > 0.0 else math.inf for e in self.effective_epsilons()
         )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import LinkParams, TopologyParams, draw_block_gain, draw_noise, make_stream
+from .channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from .constellation import ConstellationSpec
 from .decoders import DecoderConfig, decode_psk_frames, decode_qam_frames
 from .diffmod import encode_psk_frame, encode_qam_frame
@@ -117,32 +117,33 @@ class ExperimentPlan:
             )
         object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
 
-    def topology_at(self, index: int) -> TopologyParams:
-        """Per-link channel parameters of one grid point under the tying rule."""
+    def _link_db(self, index: int):
+        """Link SNRs in dB of one grid point under the tying rule.
+
+        Returns (source-destination, per-relay source-relay, per-relay
+        relay-destination).
+        """
         snr_db = self.snr_grid_db[index]
-        coherence = self.frame_len + 1
+        sr_db = rd_db = (snr_db,) * self.n_relays
+        if self.tying == "custom":
+            sr_db = tuple(snr_db + off for off in self.sr_offsets_db)
+            rd_db = tuple(snr_db + off for off in self.rd_offsets_db)
+        return snr_db, sr_db, rd_db
+
+    def topology_at(self, index: int):
+        """Links (source-destination, source-relays, relay-destinations) of one point."""
+        sd_db, sr_db, rd_db = self._link_db(index)
 
         def link(db: float) -> LinkParams:
-            return LinkParams(
-                sigma2=1.0, noise_var=10.0 ** (-db / 10.0), coherence_len=coherence
-            )
+            return LinkParams(sigma2=1.0, noise_var=10.0 ** (-db / 10.0))
 
-        sr_db = [snr_db] * self.n_relays
-        rd_db = [snr_db] * self.n_relays
-        if self.tying == "custom":
-            sr_db = [snr_db + off for off in self.sr_offsets_db]
-            rd_db = [snr_db + off for off in self.rd_offsets_db]
-        return TopologyParams(
-            source_dest=link(snr_db),
-            source_relay=tuple(link(db) for db in sr_db),
-            relay_dest=tuple(link(db) for db in rd_db),
-        )
+        return link(sd_db), tuple(map(link, sr_db)), tuple(map(link, rd_db))
 
     def plan_hash(self) -> str:
         """Stable digest of every field that affects the simulated numbers."""
         parts = [
             self.spec.kind, str(self.spec.M), self.decoder.kind,
-            repr(tuple(self.decoder.epsilons)), repr(self.decoder.thresholds),
+            repr(tuple(self.decoder.epsilons)),
             repr(self.snr_grid_db), str(self.n_relays), self.tying,
             repr(self.sr_offsets_db), repr(self.rd_offsets_db),
             str(self.trials.min_errors), str(self.trials.max_trials),
@@ -256,12 +257,8 @@ def resolve_epsilons(plan: ExperimentPlan, index: int) -> tuple[float, ...]:
     if plan.decoder.epsilons:
         return plan.decoder.epsilons
     table = dict(plan.epsilon_table)
-    snr_db = plan.snr_grid_db[index]
     out = []
-    for r in range(plan.n_relays):
-        sr_db = snr_db
-        if plan.tying == "custom":
-            sr_db = snr_db + plan.sr_offsets_db[r]
+    for sr_db in plan._link_db(index)[1]:
         key = (plan.spec.kind, plan.spec.M, round(sr_db, 6))
         if key not in table:
             raise ValueError(
@@ -282,7 +279,7 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
     of the jobs' separate results and a pure function of those integers.
     """
     spec = plan.spec
-    topo = plan.topology_at(index)
+    source_dest, source_relay, relay_dest = plan.topology_at(index)
     length = plan.frame_len
     genie_relay = plan.tying == "sr_infinite"
     starts = np.cumsum([0] + [n for _, n in jobs])
@@ -306,7 +303,7 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
                 out[sl] += draw_noise(link.noise_var, rng, size=(n, length + 1))
 
     y_sd = np.empty(v_s.shape, dtype=complex)
-    through(topo.source_dest, v_s, _STREAM_SD, y_sd)
+    through(source_dest, v_s, _STREAM_SD, y_sd)
 
     n_rel = plan.n_relays
     y_rd = np.empty((n_rel,) + y_sd.shape, dtype=complex)
@@ -315,16 +312,16 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
     relay_decisions = np.broadcast_to(idx, (n_rel,) + idx.shape)
     if n_rel and not genie_relay:
         y_sr = np.empty_like(y_rd)
-        for r, link in enumerate(topo.source_relay):
+        for r, link in enumerate(source_relay):
             through(link, v_s, _STREAM_SR0 + 2 * r, y_sr[r])
         v_r, relay_decisions = relay_process_frame(
-            y_sr, spec, np.array([[link.noise_var] for link in topo.source_relay])
+            y_sr, spec, np.array([[link.noise_var] for link in source_relay])
         )
-    for r, link in enumerate(topo.relay_dest):
+    for r, link in enumerate(relay_dest):
         through(link, v_r[r], _STREAM_RD0 + 2 * r, y_rd[r])
 
-    sd_nv = topo.source_dest.noise_var
-    rd_nvs = tuple(link.noise_var for link in topo.relay_dest)
+    sd_nv = source_dest.noise_var
+    rd_nvs = tuple(link.noise_var for link in relay_dest)
     if spec.kind == "psk":
         decoded, fallbacks = decode_psk_frames(y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg)
     else:

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    _cf_averaged,
+    _cf_params,
     asymptotic_average_reference,
     asymptotic_conditional_direct,
     cf_pep_total,
@@ -25,7 +27,6 @@ from oracles import (
     gaussian_density_average,
     gaussian_pep_adaptive,
     gaussian_tail_average,
-    pair_coefficients,
     series_conditional_pep,
     series_middle,
     series_middle_direct,
@@ -39,7 +40,7 @@ from diffrelay.analysis import (
     _laplace_density,
     _laplace_scales,
     _laplace_tail,
-    _pair_coefficients,
+    _statistic_scales,
     fit_diversity_slope,
     pep_asymptotic_conditional,
     pep_asymptotic_multirelay,
@@ -108,55 +109,15 @@ class TestConfig:
         assert cfg.threshold == pytest.approx(THRESHOLD, rel=1e-12)
 
     def test_threshold_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            qpsk_cfg(8.0, 8.0, threshold=THRESHOLD + 0.1)
-        cfg = qpsk_cfg(8.0, 8.0, threshold=THRESHOLD + 1e-9)
-        assert cfg.threshold == pytest.approx(THRESHOLD, abs=1e-8)
+        # the clip level is derived from (m, eps) and cannot be passed in
+        with pytest.raises(TypeError):
+            qpsk_cfg(8.0, 8.0, threshold=THRESHOLD)
 
     def test_pep_result_behaves_like_float(self):
         res = PepResult(0.25, True, ())
         assert float(res) == 0.25
         assert res.converged
         assert res.warnings == ()
-
-
-class TestPairCoefficients:
-    def test_identities_exhaustive_psk(self):
-        for m in (2, 4, 8, 16):
-            pts = make_psk(m).points
-            for p in range(m):
-                for q in range(m):
-                    if p == q:
-                        continue
-                    xbar, abs2, beta, b, c = _pair_coefficients(pts, p, q)
-                    assert abs2 == pytest.approx(abs(pts[p] - pts[q]) ** 2, rel=1e-12)
-                    np.testing.assert_allclose(b + c, 8.0 * abs2, rtol=1e-12)
-                    np.testing.assert_allclose(
-                        beta, 2.0 * (pts * np.conj(xbar)).real, rtol=0, atol=1e-12
-                    )
-                    np.testing.assert_allclose(b, 2.0 * (2.0 * abs2 + beta), rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(c, 2.0 * (2.0 * abs2 - beta), rtol=0, atol=1e-12)
-                    # unit modulus makes the transmitted-symbol coefficients fixed
-                    # multiples of the pair distance
-                    assert b[p] == pytest.approx(6.0 * abs2, rel=1e-12)
-                    assert c[p] == pytest.approx(2.0 * abs2, rel=1e-12)
-
-    def test_identities_hold_for_qam_points(self):
-        pts = make_qam(16).points
-        for p in (0, 3, 9):
-            for q in (1, 6, 15):
-                if p == q:
-                    continue
-                _, abs2, _, b, c = _pair_coefficients(pts, p, q)
-                np.testing.assert_allclose(b + c, 8.0 * abs2, rtol=1e-12)
-
-    def test_matches_oracle_transcription(self):
-        xbar_o, abs2_o, b_o, c_o = pair_coefficients(QPSK.points, 0, 1)
-        xbar, abs2, _, b, c = _pair_coefficients(QPSK.points, 0, 1)
-        assert xbar == pytest.approx(xbar_o, rel=1e-14)
-        assert abs2 == pytest.approx(abs2_o, rel=1e-14)
-        np.testing.assert_allclose(b, b_o, rtol=1e-14)
-        np.testing.assert_allclose(c, c_o, rtol=1e-14)
 
 
 class TestExact:
@@ -172,6 +133,27 @@ class TestExact:
         )
         val = float(pep_exact(pts[0], pts[1], cfg))
         assert val == pytest.approx(1.0 / (2.0 * (1.0 + gbar)), rel=1e-13)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_scales_are_reciprocal_poles_of_averaged_cf(self, m):
+        # 1/phi of the fading-averaged CF is quadratic in iu, with zeros at
+        # 1/(positive scale) and -1/(negative scale) of t; the route's
+        # statistic is X = -t, so its positive scale is t's negative one
+        pts = make_psk(m).points
+        xbar = pts[1] - pts[0]
+        z = np.real(pts * np.conj(xbar))
+        for db in (0.0, 10.0, 20.0, 40.0):
+            gbar = 10.0 ** (db / 10.0)
+            nu, mu = _statistic_scales(z, abs(xbar) ** 2, gbar, exact=True)
+            for s in range(m):
+                cf = _cf_params(pts, 0, 1, s)
+                d_m, d_0, d_p = (
+                    (1.0 / _cf_averaged(-1j * v, *cf, gbar)).real for v in (-1.0, 0.0, 1.0)
+                )
+                poles = np.roots([(d_p + d_m) / 2.0 - d_0, (d_p - d_m) / 2.0, d_0])
+                np.testing.assert_allclose(
+                    [nu[s], mu[s]], [-1.0 / poles.min(), 1.0 / poles.max()], rtol=1e-12
+                )
 
     def test_matches_characteristic_function_inversion(self):
         for db in (8.0, 20.0):

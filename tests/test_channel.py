@@ -6,7 +6,6 @@ from scipy import stats
 
 from diffrelay.channel import (
     LinkParams,
-    TopologyParams,
     draw_block_gain,
     draw_noise,
     make_stream,
@@ -24,31 +23,6 @@ class TestLinkParams:
             LinkParams(sigma2=0.0, noise_var=0.1)
         with pytest.raises(ValueError):
             LinkParams(sigma2=1.0, noise_var=0.0)
-        with pytest.raises(ValueError):
-            LinkParams(sigma2=1.0, noise_var=0.1, coherence_len=1)
-
-    def test_coherence_default_covers_frame(self):
-        link = LinkParams(sigma2=1.0, noise_var=0.1)
-        assert link.coherence_len == 65
-
-
-class TestTopologyParams:
-    def test_n_relays(self):
-        link = LinkParams(sigma2=1.0, noise_var=0.1)
-        topo = TopologyParams(
-            source_dest=link, source_relay=(link, link), relay_dest=(link, link)
-        )
-        assert topo.n_relays == 2
-
-    def test_mismatched_lengths_rejected(self):
-        link = LinkParams(sigma2=1.0, noise_var=0.1)
-        with pytest.raises(ValueError):
-            TopologyParams(source_dest=link, source_relay=(link,), relay_dest=())
-
-    def test_no_relays_allowed(self):
-        link = LinkParams(sigma2=1.0, noise_var=0.1)
-        topo = TopologyParams(source_dest=link)
-        assert topo.n_relays == 0
 
 
 class TestStreams:

@@ -112,10 +112,6 @@ class TestFpl:
             assert self.binary_winner(-f + 1e-6, d, 7.3032) == 0
             assert self.binary_winner(-f - 1e-6, d, 7.3032) == 1
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            DecoderConfig(kind="pl", epsilons=(0.1,), thresholds=(0.0,))
-
     @given(d0=st.floats(-50, 50), d=st.floats(-50, 50), threshold=st.floats(0.1, 20))
     def test_odd_function(self, d0, d, threshold):
         assume(abs(d0 + np.clip(d, -threshold, threshold)) > 1e-9)
@@ -138,16 +134,12 @@ class TestConfig:
             DecoderConfig(kind="map", epsilons=(0.1,))
         with pytest.raises(ValueError):
             DecoderConfig(kind="ml", epsilons=(1.0,))
-        with pytest.raises(ValueError):
-            DecoderConfig(kind="ml", epsilons=(0.1,), thresholds=(1.0, 2.0))
 
     def test_threshold_resolution(self):
         cfg = DecoderConfig(kind="ml", epsilons=(1e-2, 0.0))
         thr = cfg.resolved_thresholds(16)
         assert thr[0] == pytest.approx(clip_threshold(16, 1e-2))
         assert thr[1] == math.inf
-        explicit = DecoderConfig(kind="pl", epsilons=(1e-2,), thresholds=(3.5,))
-        assert explicit.resolved_thresholds(16) == (3.5,)
         naive = DecoderConfig(kind="naive_eps0", epsilons=(1e-2,))
         assert naive.resolved_thresholds(16) == (math.inf,)
         assert naive.effective_epsilons() == (0.0,)

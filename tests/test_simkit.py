@@ -179,25 +179,20 @@ class TestPolicyAndPlanValidation:
 class TestTopologyAndHash:
     def test_all_equal_links(self):
         plan = ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0, 20.0))
-        topo = plan.topology_at(1)
-        for link in (topo.source_dest, topo.source_relay[0], topo.relay_dest[0]):
+        source_dest, source_relay, relay_dest = plan.topology_at(1)
+        for link in (source_dest, source_relay[0], relay_dest[0]):
             assert link.noise_var == pytest.approx(0.01)
             assert link.sigma2 == 1.0
-            assert link.coherence_len == 65
 
     def test_custom_offsets(self):
         plan = ExperimentPlan(
             QPSK, DecoderConfig("ml"), (5.0,), tying="custom",
             sr_offsets_db=(10.0,), rd_offsets_db=(-2.0,),
         )
-        topo = plan.topology_at(0)
-        assert topo.source_dest.avg_snr == pytest.approx(10.0 ** 0.5)
-        assert topo.source_relay[0].avg_snr == pytest.approx(10.0 ** 1.5)
-        assert topo.relay_dest[0].avg_snr == pytest.approx(10.0 ** 0.3)
-
-    def test_coherence_follows_frame_len(self):
-        plan = ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,), frame_len=32)
-        assert plan.topology_at(0).source_dest.coherence_len == 33
+        source_dest, source_relay, relay_dest = plan.topology_at(0)
+        assert source_dest.avg_snr == pytest.approx(10.0 ** 0.5)
+        assert source_relay[0].avg_snr == pytest.approx(10.0 ** 1.5)
+        assert relay_dest[0].avg_snr == pytest.approx(10.0 ** 0.3)
 
     def test_hash_stable_and_sensitive(self):
         plan = ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,))
