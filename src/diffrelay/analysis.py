@@ -288,6 +288,14 @@ def ser_nearest_neighbor(spec: ConstellationSpec, pep_fn, cfg: PepTermsConfig) -
 # high-SNR multirelay asymptotics
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty vector, shifted by its largest entry."""
+    mx = a.max()
+    if mx == -math.inf:
+        return mx
+    return mx + math.log(np.exp(a - mx).sum())
+
+
 def _asymptotic_pair(x_p: complex, x_q: complex) -> tuple[float, float]:
     x_p = complex(x_p)
     x_q = complex(x_q)
@@ -410,7 +418,7 @@ def pep_asymptotic_multirelay(
     for i in range(big_n + 1):
         shells = lg[big_n + n0[i:] + 1] - lg[big_n + i + 1] - lg[n0[i:] - i + 1] \
             - (big_n + n0[i:] + 1) * _LN2
-        logcum[i] = sp.logsumexp(shells)
+        logcum[i] = _logsumexp(shells)
 
     total = -math.inf
     prev = None
@@ -432,7 +440,7 @@ def pep_asymptotic_multirelay(
             + lg[big_n + k + i_idx + 1]
             - (big_n + k + i_idx + 1) * log_s
         )
-        row = (k * log_a1 if k > 0 else 0.0) - lg[k + 1] + sp.logsumexp(inner)
+        row = (k * log_a1 if k > 0 else 0.0) - lg[k + 1] + _logsumexp(inner)
         total = np.logaddexp(total, row)
         if k + 1 >= checkpoint or k == k_cap:
             if prev is not None and abs(total - prev) <= trunc.rel_tol:

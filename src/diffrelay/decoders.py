@@ -19,11 +19,18 @@ so every QAM score is a table lookup (``relay.qam_objective``).
 Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
 (R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
 tournament runs candidate-major, (M, n) and (M, R, n), carrying the
-champion's values instead of gathering them.  QAM frames score and mix every
-relay link over (R, B, L, M) before the per-symbol loop, which keeps only
-the direct link's score, the combination and the decision; B may be a
-worker's whole share of a round, so the loop's overhead is paid once per
-share.
+champion's values instead of gathering them.  The tournament's fallback
+sums its clipped relay terms one relay at a time into one (bad, M, M) array.
+
+Blocks.  No kernel scores a whole batch at once, so the working set does not
+grow with it.  PSK decisions depend only on their own sample pairs and are
+scored _PSK_BLOCK pairs at a time.  QAM frames run the per-symbol loop over
+the direct link; every _QAM_BLOCK symbols it scores and mixes the relay
+links of the next block over (R, B, K, M), so each step keeps only the
+direct link's score, the combination and the decision.  B may be a worker's
+whole share of a round, so the loop's overhead is paid once per share.
+Blocking changes no element's arithmetic, so every decision is the same for
+any block size.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ from .relay import demod_qam_frame, qam_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
+# Sample pairs scored at once by the PSK decoders, and symbols per block of
+# QAM relay-link scores.  Measured on the benchmark's psk-4/16/32 and qam-16
+# points: smaller PSK blocks cost time per point, larger ones memory.
+_PSK_BLOCK = 4096
+_QAM_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -74,16 +86,20 @@ def clip_threshold(m: int, eps: float) -> float:
     return math.log((m - 1) * (1.0 - eps) / eps)
 
 
-def _psk_statistics(y, points, noise_var):
-    """Per-candidate correlation statistics of the sample pairs of frames y.
+def _pair_products(y):
+    """conj(y[n+1]) y[n] over the sample pairs of frames y (..., L+1)."""
+    return np.conj(y[..., 1:]) * y[..., :-1]
 
-    y has shape (..., L+1); the result has shape (..., L, M), or (M, n) over
-    the n flattened pairs when points is a column (candidate-major).
+
+def _psk_statistics(z, points, noise_var):
+    """Per-candidate correlation statistics of the pair products z.
+
+    The result has shape z.shape + (M,), or (M, n) for n products when points
+    is a column (candidate-major).
     """
-    z = np.conj(y[..., 1:]) * y[..., :-1]
     if points.ndim == 1:
         return np.real(z[..., None] * points) / noise_var
-    return np.real(z.ravel() * points) / noise_var
+    return np.real(z * points) / noise_var
 
 
 def _mixture_log_scores(scores, eps):
@@ -144,11 +160,16 @@ def _tournament(base, rels, thresholds):
     # the champion's statistic against itself is exactly 0, never positive
     bad = np.flatnonzero(np.count_nonzero(lam_all > 0.0, axis=0) < m - 1)
     if bad.size:
+        # lam[b, k, q] = (base_k - base_q) + sum over r of clip(r_k - r_q),
+        # the relay terms added in relay order into one (bad, M, M) array
+        lam_mat = np.zeros((bad.size, m, m))
+        diff = np.empty_like(lam_mat)
+        for r, t in enumerate(thr[:, 0]):
+            r2 = rels[:, r, bad].T
+            np.subtract(r2[:, :, None], r2[:, None, :], out=diff)
+            lam_mat += np.clip(diff, -t, t, out=diff)
         b2 = base[:, bad].T
-        r2 = rels[:, :, bad].T
-        diff0 = b2[:, :, None] - b2[:, None, :]
-        diffm = r2[:, :, :, None] - r2[:, :, None, :]
-        lam_mat = diff0 + np.clip(diffm, -thr[..., None], thr[..., None]).sum(axis=1)
+        lam_mat += np.subtract(b2[:, :, None], b2[:, None, :], out=diff)
         champ[bad] = np.argmax(lam_mat.sum(axis=-1), axis=-1)
     return champ, int(bad.size)
 
@@ -167,25 +188,38 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     """Decode whole PSK frames at once.
 
     y_sd has shape (..., L+1) and y_rd shape (R, ..., L+1); returns
-    (indices of shape (..., L), pairwise-fallback count).
+    (indices of shape (..., L), pairwise-fallback count).  Each decision
+    depends only on its own sample pairs, so the candidates are scored over
+    blocks of _PSK_BLOCK pairs and the working set does not grow with the
+    batch.
     """
     _check_psk(spec)
     y_sd = np.asarray(y_sd)
     y_rd = np.asarray(y_rd)
-    if y_rd.shape[0] != len(cfg.epsilons) or len(rd_noise_vars) != len(cfg.epsilons):
+    n_rel = len(cfg.epsilons)
+    if y_rd.shape[0] != n_rel or len(rd_noise_vars) != n_rel:
         raise ValueError("relay counts of observations, noise vars, and config differ")
-    if cfg.kind == "pl":
-        points = spec.points[:, None]
-        t0 = _psk_statistics(y_sd, points, sd_noise_var)
-        rels = np.empty((spec.M, len(rd_noise_vars), t0.shape[1]))
-        for r, nv in enumerate(rd_noise_vars):
-            rels[:, r] = _psk_statistics(y_rd[r], points, nv)
-        winners, n_fallback = _tournament(t0, rels, cfg.resolved_thresholds(spec.M))
-        return winners.reshape(y_sd.shape[:-1] + (-1,)), n_fallback
-    t0 = _psk_statistics(y_sd, spec.points, sd_noise_var)
-    rels = [_psk_statistics(y, spec.points, nv) for y, nv in zip(y_rd, rd_noise_vars)]
-    obj = _ml_objective(t0, rels, cfg.effective_epsilons())
-    return np.argmax(obj, axis=-1), 0
+    z0 = _pair_products(y_sd).ravel()
+    zr = _pair_products(y_rd).reshape(n_rel, z0.size)
+    decisions = np.empty(z0.size, dtype=np.int64)
+    pl = cfg.kind == "pl"
+    points = spec.points[:, None] if pl else spec.points
+    thresholds = cfg.resolved_thresholds(spec.M)
+    epsilons = cfg.effective_epsilons()
+    n_fallback = 0
+    for lo in range(0, z0.size, _PSK_BLOCK):
+        blk = slice(lo, lo + _PSK_BLOCK)
+        t0 = _psk_statistics(z0[blk], points, sd_noise_var)
+        if pl:
+            rels = np.empty((spec.M, n_rel, t0.shape[1]))
+            for r, nv in enumerate(rd_noise_vars):
+                rels[:, r] = _psk_statistics(zr[r, blk], points, nv)
+            decisions[blk], nf = _tournament(t0, rels, thresholds)
+            n_fallback += nf
+        else:
+            rels = [_psk_statistics(z[blk], points, nv) for z, nv in zip(zr, rd_noise_vars)]
+            decisions[blk] = np.argmax(_ml_objective(t0, rels, epsilons), axis=-1)
+    return decisions.reshape(y_sd.shape[:-1] + (-1,)), n_fallback
 
 
 def decode_qam_frames(
@@ -209,7 +243,8 @@ def decode_qam_frames(
 
     The destination's estimate of a relay's chain depends only on that
     relay's samples, so it runs first, for all relays at once, and fixes
-    every relay-link score before the direct link's decision-directed loop.
+    every relay-link score before the direct link's decision-directed loop;
+    the loop scores the relay links _QAM_BLOCK symbols at a time.
     """
     _check_qam(spec)
     y_sd = np.asarray(y_sd)
@@ -225,27 +260,32 @@ def decode_qam_frames(
     relay_idx = true_relay_idx if genie else demod_qam_frame(y_rd, spec, rd_nv)
     relay_rows = np.zeros((n_rel, n_batch, n_data), dtype=np.int64)
     np.add(relay_idx[..., :-1], 1, out=relay_rows[..., 1:])
-    rels = qam_objective(y_rd[..., :-1], y_rd[..., 1:], rd_nv[..., None], spec, relay_rows)
-    np.negative(rels, out=rels)
     pl = cfg.kind == "pl"
-    if pl:
-        thresholds = cfg.resolved_thresholds(spec.M)
-        rels = np.ascontiguousarray(rels.transpose(2, 3, 0, 1))  # (L, M, R, B)
-    else:
-        mixtures = [_mixture_log_scores(sc, eps)
-                    for sc, eps in zip(rels, cfg.effective_epsilons())]
+    thresholds = cfg.resolved_thresholds(spec.M)
+    epsilons = cfg.effective_epsilons()
     decisions = np.empty((n_batch, n_data), dtype=np.int64)
     row = np.zeros(n_batch, dtype=np.int64)
     n_fallback = 0
     for n in range(n_data):
+        k = n % _QAM_BLOCK
+        if k == 0:
+            # relay-link scores of the next block of symbols, (R, B, K, M)
+            stop = min(n + _QAM_BLOCK, n_data)
+            rels = qam_objective(y_rd[..., n:stop], y_rd[..., n + 1:stop + 1],
+                                 rd_nv[..., None], spec, relay_rows[..., n:stop])
+            np.negative(rels, out=rels)
+            if pl:
+                rels = np.ascontiguousarray(rels.transpose(2, 3, 0, 1))  # (K, M, R, B)
+            else:
+                mixtures = [_mixture_log_scores(sc, eps) for sc, eps in zip(rels, epsilons)]
         base = qam_objective(y_sd[:, n], y_sd[:, n + 1], sd_noise_var, spec, row)
         np.negative(base, out=base)
         if pl:
-            decisions[:, n], nf = _tournament(base.T, rels[n], thresholds)
+            decisions[:, n], nf = _tournament(base.T, rels[k], thresholds)
             n_fallback += nf
         else:
             for mix in mixtures:
-                base += mix[:, n]
+                base += mix[:, k]
             decisions[:, n] = np.argmax(base, axis=-1)
         row = (true_source_idx[:, n] if genie else decisions[:, n]) + 1
     return decisions, n_fallback

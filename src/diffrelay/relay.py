@@ -10,6 +10,9 @@ differential-detection error rate over the fading distribution.
 Kernel layouts.  The DPSK decision is one rounded phase per symbol.  The
 QAM chain is sequential in time and batched over all leading axes, so one
 call runs every relay's frames, (R, B, L+1), with per-relay noise variances.
+Calibration draws its trials in chunks of 65,536 and runs the QAM detector
+over blocks of _QAM_DETECT_BLOCK draws of a chunk, so its (draws x M)
+scores never span the whole chunk; the draws do not depend on the block.
 
 Ring tables.  The QAM objective of a sample pair depends on the previous
 symbol only through its magnitude, so each alphabet gets one cached table
@@ -33,6 +36,10 @@ from scipy import integrate
 from .channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from .constellation import ConstellationSpec
 from .diffmod import encode_psk_frame, encode_qam_frame
+
+# Draws per block of calibration's QAM detector: its (draws x M) scores stay
+# small beside the chunk's samples.
+_QAM_DETECT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,11 @@ def _simulate_error_fraction(
         if spec.kind == "psk":
             d = demod_psk_frame(y, spec)[:, 0]
         else:
-            obj = qam_objective(y[:, 0], y[:, 1], link.noise_var, spec, iprev + 1)
-            d = np.argmin(obj, axis=-1)
+            d = np.empty(b, dtype=np.int64)
+            for lo in range(0, b, _QAM_DETECT_BLOCK):
+                blk = slice(lo, lo + _QAM_DETECT_BLOCK)
+                obj = qam_objective(y[blk, 0], y[blk, 1], link.noise_var, spec, iprev[blk] + 1)
+                d[blk] = np.argmin(obj, axis=-1)
         errors += int(np.count_nonzero(d != idx))
         total += b
     return errors, total

@@ -1,6 +1,7 @@
 """Tests for the destination ML and piecewise-linear decoders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from oracles import (
 from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.decoders import (
+    _PSK_BLOCK,
+    _QAM_BLOCK,
     DecoderConfig,
     _counted_ml_decode,
     _counted_pl_decode,
@@ -30,7 +33,7 @@ from diffrelay.decoders import (
     decode_qam_frames,
 )
 from diffrelay.diffmod import encode_psk_frame, encode_qam_frame
-from diffrelay.relay import relay_process_frame
+from diffrelay.relay import analytic_epsilon_psk, calibrate_epsilon, relay_process_frame
 
 QPSK = make_psk(4)
 QAM16 = make_qam(16)
@@ -566,11 +569,10 @@ class TestKernelOracles:
         rd_nvs = tuple(noise_var * (1.0 + 0.5 * r) for r in range(n_rel))
         return idx, through(v), y_rd, noise_var, rd_nvs, relay_decisions
 
-    @pytest.mark.parametrize("n_rel", [0, 1, 3])
-    @pytest.mark.parametrize("kind", ["ml", "pl", "genie_reference"])
-    def test_qam_frames_match_per_symbol_oracle(self, kind, n_rel):
+    def check_qam_frames_against_oracle(self, kind, n_rel, n_data=12):
         rng = make_stream(21, n_rel, len(kind))
-        idx, y_sd, y_rd, nv, rd_nvs, relay_decisions = self.qam_frames(rng, n_rel)
+        idx, y_sd, y_rd, nv, rd_nvs, relay_decisions = self.qam_frames(rng, n_rel,
+                                                                       n_data=n_data)
         epsilons = tuple(0.02 + 0.03 * r for r in range(n_rel))
         cfg = DecoderConfig(kind=kind, epsilons=epsilons)
         got, got_fb = decode_qam_frames(y_sd, y_rd, nv, rd_nvs, QAM16, cfg,
@@ -585,3 +587,123 @@ class TestKernelOracles:
         )
         np.testing.assert_array_equal(got, expect)
         assert got_fb == expect_fb
+
+    @pytest.mark.parametrize("n_rel", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["ml", "pl", "genie_reference"])
+    def test_qam_frames_match_per_symbol_oracle(self, kind, n_rel):
+        self.check_qam_frames_against_oracle(kind, n_rel)
+
+    @pytest.mark.parametrize("kind", ["ml", "pl", "genie_reference"])
+    def test_qam_frames_off_block_boundary(self, kind):
+        # the relay-link scores come in blocks of _QAM_BLOCK symbols; a frame
+        # that ends inside a block must still match the per-symbol oracle
+        for n_data in (_QAM_BLOCK - 1, 3 * _QAM_BLOCK + 1):
+            self.check_qam_frames_against_oracle(kind, 3, n_data=n_data)
+
+    @pytest.mark.parametrize("m", [4, 16, 32])
+    def test_pairwise_select_mostly_fallback(self, m):
+        # three relays ranking the candidates in rotated orders leave no
+        # candidate beating every rival, so most instances take the
+        # total-statistic fallback
+        rng = make_stream(22, m)
+        n = 300
+        ranks = (np.arange(m) + (np.arange(3) * m // 3)[:, None]) % m
+        rels = rng.normal(scale=2.0, size=(n, 3, m))
+        for i in np.flatnonzero(rng.random(n) < 0.8):
+            rels[i][:, rng.permutation(m)] = ranks
+        rels += rng.normal(scale=0.1, size=rels.shape)
+        base = rng.normal(scale=0.05, size=(n, m))
+        thresholds = (0.5, 0.6, 0.7)
+        got = pairwise_select(base, rels, thresholds)
+        expect = pairwise_select_bruteforce(base, rels, thresholds)
+        np.testing.assert_array_equal(got[0], expect[0])
+        assert got[1] == expect[1]
+        assert 0.7 * n < got[1] < n
+
+
+def psk16_frames(rng, n_frames, frame_len, n_rel, snr_db=0.0):
+    """psk-16 frames through decode-and-forward relays, all links at snr_db.
+
+    Returns (y_sd (F, L+1), y_rd (R, F, L+1), noise_var, relay epsilon).
+    """
+    spec = make_psk(16)
+    noise_var = 10.0 ** (-snr_db / 10.0)
+    link = LinkParams(1.0, noise_var)
+    v = encode_psk_frame(rng.integers(0, 16, size=(n_frames, frame_len)), spec)
+
+    def through(frame):
+        return draw_block_gain(link, rng, size=(n_frames, 1)) * frame \
+            + draw_noise(noise_var, rng, size=frame.shape)
+
+    y_rd = np.stack([through(relay_process_frame(through(v), spec, noise_var)[0])
+                     for _ in range(n_rel)])
+    return through(v), y_rd, noise_var, analytic_epsilon_psk(link, spec)
+
+
+class TestBlocks:
+    """Scoring in fixed-size blocks gives every symbol its stand-alone decision."""
+
+    @pytest.mark.parametrize("n_rel", [1, 3])
+    @pytest.mark.parametrize("kind", ["ml", "pl"])
+    @pytest.mark.parametrize("n_frames, frame_len, span", [
+        (2 * _PSK_BLOCK // 64 + 5, 64, 64),   # frames end inside the last block
+        (3, _PSK_BLOCK + 37, 100),            # one frame spans several blocks
+    ])
+    def test_psk_blocks_match_slices_decoded_alone(self, kind, n_rel, n_frames,
+                                                   frame_len, span):
+        assert (n_frames * frame_len) % _PSK_BLOCK != 0
+        rng = make_stream(30, n_rel, frame_len)
+        y_sd, y_rd, nv, eps = psk16_frames(rng, n_frames, frame_len, n_rel)
+        spec = make_psk(16)
+        cfg = DecoderConfig(kind=kind, epsilons=(eps,) * n_rel)
+        rd_nvs = (nv,) * n_rel
+        got, got_fb = decode_psk_frames(y_sd, y_rd, nv, rd_nvs, spec, cfg)
+        expect = np.empty_like(got)
+        expect_fb = 0
+        for f in range(n_frames):
+            for lo in range(0, frame_len, span):
+                hi = min(lo + span, frame_len)
+                dec, fb = decode_psk_frames(y_sd[f, lo:hi + 1], y_rd[:, f, lo:hi + 1],
+                                            nv, rd_nvs, spec, cfg)
+                expect[f, lo:hi] = dec
+                expect_fb += fb
+        np.testing.assert_array_equal(got, expect)
+        assert got_fb == expect_fb
+        if kind == "pl":
+            assert got_fb > 0  # the fallback ran in some block
+
+
+def traced_peak_bytes(fn):
+    """Largest traced allocation above the start level while fn() runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The blocked kernels' traced peak allocation stays small and flat."""
+
+    def test_psk_decoder_peak_is_bounded(self):
+        # psk-16 pl N=3 at 0 dB: about 7.3 MB for one 8192-symbol batch
+        # scored in blocks, 35 MB when the whole batch was scored at once
+        peaks = []
+        for n_frames in (128, 256):
+            rng = make_stream(31, n_frames)
+            y_sd, y_rd, nv, eps = psk16_frames(rng, n_frames, 64, 3)
+            cfg = DecoderConfig(kind="pl", epsilons=(eps,) * 3)
+            peaks.append(traced_peak_bytes(lambda: decode_psk_frames(
+                y_sd, y_rd, nv, (nv,) * 3, make_psk(16), cfg)))
+        assert peaks[0] < 15e6
+        assert peaks[1] < 1.5 * peaks[0]  # doubling the batch
+
+    def test_qam_calibration_peak_is_bounded(self):
+        # qam-16, 100k trials: about 10.6 MB with the detector run in blocks,
+        # 40.5 MB when it scored a whole 65,536-draw chunk at once
+        link = LinkParams(1.0, 0.1)
+        peak = traced_peak_bytes(
+            lambda: calibrate_epsilon(link, QAM16, trials=100_000, seed=3))
+        assert peak < 20e6
