@@ -40,7 +40,14 @@ from .channel import LinkParams
 from .constellation import make_psk, make_qam
 from .decoders import DecoderConfig, count_ops
 from .relay import calibrate_epsilon, load_epsilon_table, save_epsilon_table
-from .simkit import ExperimentPlan, SerCurve, TrialsPolicy, compare_curves, run_sweep
+from .simkit import (
+    ExperimentPlan,
+    SerCurve,
+    TrialsPolicy,
+    compare_curves,
+    resolve_epsilons,
+    run_sweep,
+)
 
 CSV_COLUMNS = (
     "source", "kind", "M", "N_relays", "decoder", "snr_db",
@@ -282,13 +289,19 @@ def load_config(path, *, seed=None, output_dir=None):
             _check_keys(analysis, _ANALYSIS_KEYS, "config.analysis")
             toggles = {k: bool(analysis.get(k, False)) for k in _ANALYSIS_KEYS}
             n_relays = int(doc.get("n_relays", 1))
-            if (toggles["closed_form"] or toggles["quadrature"]) and (
-                spec.kind != "psk" or n_relays != 1
-            ):
-                raise ConfigError(
-                    "closed_form and quadrature analysis model one erroneous "
-                    "relay with a PSK alphabet"
-                )
+            tying = doc.get("tying", "all_equal")
+            if toggles["closed_form"] or toggles["quadrature"]:
+                if spec.kind != "psk" or n_relays != 1:
+                    raise ConfigError(
+                        "closed_form and quadrature analysis model one erroneous "
+                        "relay with a PSK alphabet"
+                    )
+                if tying == "sr_infinite" or decoder.kind == "naive_eps0":
+                    raise ConfigError(
+                        "closed_form and quadrature analysis model a relay that errs "
+                        "at its calibrated epsilon and a decoder that clips at it; "
+                        "they cannot serve sr_infinite tying or the naive_eps0 decoder"
+                    )
             if toggles["asymptotic"] and spec.kind != "psk":
                 raise ConfigError("asymptotic analysis needs a PSK alphabet")
             label = f"{spec.kind}{spec.M}_{decoder.kind}"
@@ -297,7 +310,7 @@ def load_config(path, *, seed=None, output_dir=None):
             jobs = (
                 _job(
                     label, spec, decoder, grid, trials, run_seed, frame_len,
-                    n_relays=n_relays, tying=doc.get("tying", "all_equal"),
+                    n_relays=n_relays, tying=tying,
                     sr_offsets=tuple(doc.get("sr_offsets_db", ())),
                     rd_offsets=tuple(doc.get("rd_offsets_db", ())),
                     sr_eps=doc.get("sr_eps", "configured"),
@@ -390,9 +403,14 @@ def _epsilon_lookup(config):
     return {key: est.value for key, est in table.items()}
 
 
-def _analysis_row_value(source, job, snr_db, eps_by_key):
-    """SER of one analytic overlay at one grid point."""
-    spec = job.plan.spec
+def _analysis_row_value(source, plan, index):
+    """SER of one analytic overlay at one grid point of ``plan``.
+
+    closed_form and quadrature rows are evaluated at the point's own link
+    SNRs, with the epsilon its decoder is built with.
+    """
+    spec = plan.spec
+    snr_db = plan.snr_grid_db[index]
     gbar = 10.0 ** (snr_db / 10.0)
     if source == "asymptotic":
         # series depth follows the gamma-weighted term peak, which moves out
@@ -400,19 +418,15 @@ def _analysis_row_value(source, job, snr_db, eps_by_key):
         trunc = SeriesTruncation(max_terms=max(8192, int(80.0 * gbar)))
         cfg = PepTermsConfig(SnrPoint.from_db(snr_db, snr_db), 1e-6, spec.M,
                              truncation=trunc)
-        n = job.plan.n_relays
+        n = plan.n_relays
 
         def pep_fn(x_p, x_q, inner_cfg):
             return pep_asymptotic_multirelay(x_p, x_q, n, gbar, inner_cfg)
 
         return ser_nearest_neighbor(spec, pep_fn, cfg)
-    key = (spec.kind, spec.M, round(float(snr_db), 6))
-    if key not in eps_by_key:
-        raise ValueError(
-            f"no calibrated epsilon for {spec.kind}-{spec.M} at {snr_db:g} dB; "
-            "run the calibrate step first"
-        )
-    cfg = PepTermsConfig(SnrPoint.from_db(snr_db, snr_db, snr_db), eps_by_key[key], spec.M)
+    sd_db, (sr_db,), (rd_db,) = plan._link_db(index)
+    (eps,) = resolve_epsilons(plan, index)
+    cfg = PepTermsConfig(SnrPoint.from_db(sd_db, rd_db, sr_db), eps, spec.M)
     pep_fn = pep_exact if source == "closed_form" else pep_quadrature_approx
     return ser_nearest_neighbor(spec, pep_fn, cfg)
 
@@ -481,9 +495,9 @@ def cmd_sweep(config, workers=1):
         for source in _ANALYSIS_SOURCES:
             if not getattr(job, source):
                 continue
-            for snr_db in plan.snr_grid_db:
+            for index, snr_db in enumerate(plan.snr_grid_db):
                 try:
-                    result = _analysis_row_value(source, job, snr_db, eps_by_key)
+                    result = _analysis_row_value(source, plan, index)
                 except ValueError as exc:
                     failed = True
                     entry["failures"].append(

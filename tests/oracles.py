@@ -874,6 +874,24 @@ def dpsk_ser_rayleigh(m, gbar):
     return avg
 
 
+def dpsk_epsilon_quad(m, gbar):
+    """Average M-DPSK error rate over Rayleigh fading by one adaptive quadrature.
+
+    The fading average of the conditional single-integral form is taken
+    inside the integral, leaving sin(pi/M)/(2 pi) times the integral over
+    [-pi/2, pi/2] of 1/(a(t) (1 + gbar a(t))), a(t) = 1 - cos(pi/M) cos(t).
+    This is the route the relay calibration used before its closed form.
+    """
+    cospm = math.cos(math.pi / m)
+
+    def integrand(t):
+        a = 1.0 - cospm * math.cos(t)
+        return 1.0 / (a * (1.0 + gbar * a))
+
+    val, _ = si.quad(integrand, -math.pi / 2, math.pi / 2, epsabs=1e-14, epsrel=1e-12)
+    return math.sin(math.pi / m) / (2.0 * math.pi) * val
+
+
 # -- Gaussian-statistic approximation by nested adaptive quadrature ---------
 #
 # The adaptive route the quadrature evaluator used before its fading averages

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as sp
 
 from oracles import (
     _cf_averaged,
@@ -40,6 +41,8 @@ from diffrelay.analysis import (
     _laplace_density,
     _laplace_scales,
     _laplace_tail,
+    _legendre_rule,
+    _log_factorials,
     _statistic_scales,
     fit_diversity_slope,
     pep_asymptotic_conditional,
@@ -317,6 +320,14 @@ class TestQuadratureApprox:
             assert float(_laplace_density(w, nu, mu)) == pytest.approx(
                 gaussian_density_average(w, z, scale, gbar), rel=1e-8, abs=1e-13)
 
+    def test_legendre_rule_matches_scipy(self):
+        nodes, weights = _legendre_rule()
+        ref_nodes, ref_weights = sp.roots_legendre(201)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-13)
+        # absolute: the smallest edge weights, about 1.8e-4, differ by 1e-10 relative,
+        # where numpy's are the nearer to an extended-precision Newton refinement
+        np.testing.assert_allclose(weights, ref_weights, rtol=0.0, atol=1e-13)
+
     def test_finite_and_decreasing_at_high_snr(self):
         for m in (4, 32):
             pts = make_psk(m).points
@@ -424,6 +435,14 @@ class TestAsymptotic:
             QPSK.points[0], QPSK.points[1], 3, 10.0 ** 1.8,
             qpsk_cfg(18.0, 18.0, truncation=trunc)))
         assert n3 < by_snr[1]
+
+    def test_log_factorials_match_scipy_as_the_table_grows(self):
+        small = _log_factorials(40).copy()
+        deep = _log_factorials(200_000)
+        np.testing.assert_array_equal(deep[:41], small)
+        k = np.arange(deep.size, dtype=float)
+        np.testing.assert_allclose(deep, sp.gammaln(k + 1.0), rtol=1e-14, atol=1e-15)
+        assert _log_factorials(10).size == 11
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ from diffrelay.cli import (
 from diffrelay.constellation import make_psk
 from diffrelay.relay import load_epsilon_table
 
+QPSK = make_psk(4)
+
 
 def write_yaml(path, doc):
     with open(path, "w") as fh:
@@ -168,6 +170,17 @@ class TestConfigValidation:
                           analysis={"quadrature": True})
         with pytest.raises(ConfigError, match="PSK alphabet"):
             load_config(write_yaml(tmp_path / "c.yaml", doc))
+
+    @pytest.mark.parametrize("overrides", [
+        {"tying": "sr_infinite"},
+        {"tying": "sr_infinite", "sr_eps": "vanishing"},
+        {"decoder": {"kind": "naive_eps0"}},
+    ])
+    def test_closed_form_refuses_relays_it_cannot_model(self, tmp_path, overrides):
+        for source in ("closed_form", "quadrature"):
+            doc = minimal_doc(analysis={source: True}, **overrides)
+            with pytest.raises(ConfigError, match="calibrated epsilon"):
+                load_config(write_yaml(tmp_path / "c.yaml", doc))
 
     def test_asymptotic_needs_psk(self, tmp_path):
         doc = minimal_doc(constellation={"kind": "qam", "M": 16},
@@ -358,6 +371,45 @@ class TestSweepCommand:
         rows = read_rows(str(tmp_path / "run.csv"))
         assert sorted(r["M"] for r in rows if r["source"] == "closed_form") == [4, 16, 32]
         assert_closed_form_rows_exact(tmp_path / "run.csv", tmp_path / "eps.csv", [23.0])
+
+    def test_rows_at_the_plans_own_links(self, tmp_path):
+        # one relay 10 dB stronger on its source link than the grid point:
+        # the rows take (sd, rd, sr) = (12, 12, 22) dB and epsilon at 22 dB
+        doc = minimal_doc(
+            seed=3, grid_db=[12.0], tying="custom", sr_offsets_db=[10.0],
+            rd_offsets_db=[0.0], analysis={"closed_form": True, "quadrature": True},
+            trials={"min_errors": 2000, "max_trials": 2_000_000},
+            calibration={"path": str(tmp_path / "eps.csv"), "grid_db": [12.0, 22.0]},
+            output={"dir": str(tmp_path), "basename": "run"},
+        )
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        assert main(["calibrate", path]) == 0
+        assert main(["sweep", path]) == 0
+        rows = {r["source"]: r for r in read_rows(str(tmp_path / "run.csv"))}
+        eps = {key: est.value for key, est in load_epsilon_table(str(tmp_path / "eps.csv")).items()}
+        at_links = PepTermsConfig(SnrPoint.from_db(12.0, 12.0, 22.0), eps[("psk", 4, 22.0)], 4)
+        equal = PepTermsConfig(SnrPoint.from_db(12.0, 12.0, 12.0), eps[("psk", 4, 12.0)], 4)
+        assert rows["closed_form"]["ser"] == ser_nearest_neighbor(QPSK, pep_exact, at_links).value
+        equal_row = ser_nearest_neighbor(QPSK, pep_exact, equal).value
+        assert equal_row == pytest.approx(0.04450, rel=1e-3)
+        assert rows["closed_form"]["ser"] < 0.6 * equal_row
+        mc = rows["mc"]
+        sigma = (mc["ci_high"] - mc["ci_low"]) / (2.0 * 1.96)
+        assert mc["errors"] >= 2000
+        assert abs(rows["closed_form"]["ser"] - mc["ser"]) < 3.0 * sigma
+        assert abs(rows["quadrature"]["ser"] - mc["ser"]) < 3.0 * sigma
+
+    def test_rows_use_explicit_decoder_epsilons(self, tmp_path):
+        doc = minimal_doc(
+            seed=3, grid_db=[12.0], decoder={"kind": "pl", "epsilons": [0.01]},
+            analysis={"closed_form": True},
+            trials={"min_errors": 20, "max_trials": 100_000},
+            output={"dir": str(tmp_path), "basename": "run"},
+        )
+        assert main(["sweep", write_yaml(tmp_path / "c.yaml", doc)]) == 0
+        (row,) = [r for r in read_rows(str(tmp_path / "run.csv")) if r["source"] == "closed_form"]
+        cfg = PepTermsConfig(SnrPoint.from_db(12.0, 12.0, 12.0), 0.01, 4)
+        assert row["ser"] == ser_nearest_neighbor(QPSK, pep_exact, cfg).value
 
     def test_csv_round_trips_byte_identically(self, sweep_outputs, tmp_path):
         tmp, _ = sweep_outputs

@@ -8,7 +8,7 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import qam_pair_objective
+from oracles import dpsk_epsilon_quad, qam_pair_objective
 
 from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from diffrelay.constellation import make_psk, make_qam
@@ -319,6 +319,13 @@ class TestCalibrateEpsilon:
             link = link_at(snr_db)
             got = analytic_epsilon_psk(link, make_psk(2))
             assert got == pytest.approx(1.0 / (2.0 * (1.0 + link.avg_snr)), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_closed_form_matches_adaptive_quadrature(self, m):
+        for snr_db in range(0, 61, 3):
+            link = link_at(float(snr_db))
+            got = analytic_epsilon_psk(link, make_psk(m))
+            assert got == pytest.approx(dpsk_epsilon_quad(m, link.avg_snr), rel=1e-13, abs=0.0)
 
     def test_epsilon_inverse_snr_scaling(self):
         products = [
