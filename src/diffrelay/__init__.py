@@ -1,6 +1,6 @@
 """Differential decode-and-forward relay simulator and SER analysis toolkit.
 
-Modules: specfun (asymptotic-series kernels), constellation
+Modules: specfun (conditional asymptotic-series kernels), constellation
 (PSK/QAM alphabets), diffmod (differential mapping), channel (fading links
 and counter-based streams), relay (demodulate-and-forward and epsilon
 calibration), decoders (destination ML and piecewise-linear decoders),

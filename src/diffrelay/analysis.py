@@ -27,8 +27,11 @@ product nu*mu:
     a fixed 201-node Gauss-Legendre rule.  Within a few percent at high SNR.
 
 ``pep_asymptotic_conditional`` / ``pep_asymptotic_multirelay`` cover the
-high-SNR multirelay error floor, and ``fit_diversity_slope`` extracts
-diversity orders from SER curves.
+high-SNR multirelay law with error-free relays.  The first is the paper's
+conditional series at a fixed combined SNR.  The second is the paper's
+fading average of it, which sums to the finite L-branch binomial form
+sum_{k=0..N} C(N+k, k) p^(N+1) (1-p)^k and is evaluated as that sum.
+``fit_diversity_slope`` extracts diversity orders from SER curves.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class PepTermsConfig:
 
     ``threshold`` is not an argument: it is always the clip level implied by
     ``(m, eps)``, so the evaluators and the decoder agree on the clip point.
-    ``truncation`` is consulted only by ``pep_asymptotic_multirelay``.
+    ``truncation`` is accepted but read by no evaluator; it stays because
+    the benchmark harness still passes it.
     """
 
     snr_point: SnrPoint
@@ -287,14 +291,6 @@ def ser_nearest_neighbor(spec: ConstellationSpec, pep_fn, cfg: PepTermsConfig) -
 # high-SNR multirelay asymptotics
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a non-empty vector, shifted by its largest entry."""
-    mx = a.max()
-    if mx == -math.inf:
-        return mx
-    return mx + math.log(np.exp(a - mx).sum())
-
-
 # ln k! for k = 0, 1, ..., grown on demand to the deepest series requested.  A
 # pure cache: each entry is the same whichever call grew the table.
 _log_factorial_table = np.zeros(1)
@@ -303,8 +299,9 @@ _log_factorial_table = np.zeros(1)
 def _log_factorials(n: int) -> np.ndarray:
     """ln k! for k = 0..n.
 
+    Only the conditional series sets the depth, through its ``max_terms``.
     Each entry is math.lgamma(k + 1); a running sum of logs would drift by
-    about 1e-8 at the 160k-term depth of a high-SNR series.
+    about 1e-8 at a depth of 160k terms.
     """
     global _log_factorial_table
     table = _log_factorial_table
@@ -400,78 +397,33 @@ def pep_asymptotic_multirelay(
 ) -> PepResult:
     """High-SNR average pairwise error probability with N error-free relays.
 
-    Averages the conditional series over the chi-square density of the
-    combined SNR (N + 1 independent Rayleigh branches of mean ``gamma_bar``),
-    giving a diversity-(N+1) lower bound on the erroneous-relay system's SER.
-    The system approaches it only when the source-relay links are
+    The paper's average of the conditional series over the chi-square
+    density of the combined SNR (N + 1 independent Rayleigh branches of mean
+    ``gamma_bar``) sums to the L-branch binomial form
+
+        P = sum_{k=0..N} C(N+k, k) p^(N+1) (1-p)^k,
+
+    a race over N + 1 branches each lost with probability p.  With
+    g = |x_p - x_q|^2 gamma_bar and R = sqrt(g^2 + 8g + 4),
+    p = (4g + 2) / (R (R + g)), which is (1 - g/R)/2 without the
+    cancellation.  The sum needs the equal-modulus identity
+    beta = |x_p - x_q|^2 of the series' coefficients.  It is a
+    diversity-(N+1) lower bound on the erroneous-relay system's SER, which
+    the system approaches only when the source-relay links are
     asymptotically stronger than the other links; with all links at one SNR
-    its diversity order is ceil(N/2) + 1.
-    Only ``cfg.truncation`` is consulted; the series needs thousands of terms
-    at high SNR, so size ``max_terms`` accordingly.
+    its diversity order is ceil(N/2) + 1.  No field of ``cfg`` is read.
     """
     if int(n_relays) != n_relays or n_relays < 1:
         raise ValueError(f"n_relays must be an integer >= 1, got {n_relays!r}")
     n_relays = int(n_relays)
     if not (math.isfinite(gamma_bar) and gamma_bar > 0.0):
         raise ValueError(f"gamma_bar must be finite and > 0, got {gamma_bar!r}")
-    abs2, beta = _asymptotic_pair(x_p, x_q)
-    big_n = n_relays
-    trunc = cfg.truncation
-
-    a1 = 2.0 * abs2 - beta
-    a2 = 2.0 * abs2 + beta
-    c = 1.5 * abs2 - beta / 4.0
-    s = 1.0 / gamma_bar + c
-    log_s = math.log(s)
-    log_a1 = math.log(a1) - _LN2
-    log_a2 = math.log(a2) - 2.0 * _LN2
-    k_cap = trunc.max_terms
-    lf = _log_factorials(2 * k_cap + 2 * big_n + 2)
-    log_pref = -lf[big_n] - (big_n + 1) * math.log(gamma_bar)
-
-    # Running inner cumulative over i of sum_{n >= i} C(N+n, N+i)/2^(N+n+1),
-    # extended one n-shell per k step so memory stays linear in k.
-    n0 = np.arange(big_n + 1)
-    logcum = np.full(k_cap + big_n + 2, -np.inf)
-    for i in range(big_n + 1):
-        shells = lf[big_n + n0[i:]] - lf[big_n + i] - lf[n0[i:] - i] \
-            - (big_n + n0[i:] + 1) * _LN2
-        logcum[i] = _logsumexp(shells)
-
-    total = -math.inf
-    prev = None
-    converged = False
-    checkpoint = 32
-    hi = big_n  # current largest n in the cumulative
-    for k in range(k_cap + 1):
-        if k > 0:
-            hi = k + big_n
-            i_idx = np.arange(hi + 1)
-            new_shell = lf[big_n + hi] - lf[big_n + i_idx] - lf[hi - i_idx] \
-                - (big_n + hi + 1) * _LN2
-            logcum[: hi + 1] = np.logaddexp(logcum[: hi + 1], new_shell)
-        i_idx = np.arange(hi + 1)
-        inner = (
-            logcum[: hi + 1]
-            + i_idx * log_a2
-            - lf[i_idx]
-            + lf[big_n + k + i_idx]
-            - (big_n + k + i_idx + 1) * log_s
-        )
-        row = (k * log_a1 if k > 0 else 0.0) - lf[k] + _logsumexp(inner)
-        total = np.logaddexp(total, row)
-        if k + 1 >= checkpoint or k == k_cap:
-            if prev is not None and abs(total - prev) <= trunc.rel_tol:
-                converged = True
-                break
-            prev = total
-            checkpoint *= 2
-    value = math.exp(log_pref + total)
-    warnings = () if converged else (
-        f"asymptotic average series not settled within max_terms = {trunc.max_terms}; "
-        "partial value returned, raise max_terms",
-    )
-    return PepResult(min(value, 1.0), converged, warnings)
+    abs2, _ = _asymptotic_pair(x_p, x_q)
+    g = abs2 * gamma_bar
+    r = math.sqrt(g * g + 8.0 * g + 4.0)
+    p = (4.0 * g + 2.0) / (r * (r + g))
+    race = sum(math.comb(n_relays + k, k) * (1.0 - p) ** k for k in range(n_relays + 1))
+    return PepResult(p ** (n_relays + 1) * race)
 
 
 # ---------------------------------------------------------------------------

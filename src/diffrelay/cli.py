@@ -28,7 +28,6 @@ import yaml
 
 from .analysis import (
     PepTermsConfig,
-    SeriesTruncation,
     SnrPoint,
     fit_diversity_slope,
     pep_asymptotic_multirelay,
@@ -103,7 +102,8 @@ def _grid_from(value, where):
             raise ConfigError(f"{where} range needs start, stop, step") from exc
         if step <= 0.0 or stop < start:
             raise ConfigError(f"{where} range must have step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
+        # floor with a little slack, so no point lands past stop
+        count = int((stop - start) / step + 1e-9) + 1
         return tuple(round(start + i * step, 9) for i in range(count))
     if isinstance(value, (list, tuple)):
         if not value:
@@ -302,8 +302,15 @@ def load_config(path, *, seed=None, output_dir=None):
                         "at its calibrated epsilon and a decoder that clips at it; "
                         "they cannot serve sr_infinite tying or the naive_eps0 decoder"
                     )
-            if toggles["asymptotic"] and spec.kind != "psk":
-                raise ConfigError("asymptotic analysis needs a PSK alphabet")
+            if toggles["asymptotic"]:
+                if spec.kind != "psk":
+                    raise ConfigError("asymptotic analysis needs a PSK alphabet")
+                if tying == "custom" and any(doc.get("rd_offsets_db", ())):
+                    raise ConfigError(
+                        "asymptotic analysis takes one mean SNR for the direct and "
+                        "every relay-destination link; it cannot serve nonzero "
+                        "rd_offsets_db"
+                    )
             label = f"{spec.kind}{spec.M}_{decoder.kind}"
             if n_relays != 1:
                 label += f"_n{n_relays}"
@@ -407,17 +414,16 @@ def _analysis_row_value(source, plan, index):
     """SER of one analytic overlay at one grid point of ``plan``.
 
     closed_form and quadrature rows are evaluated at the point's own link
-    SNRs, with the epsilon its decoder is built with.
+    SNRs, with the epsilon its decoder is built with.  asymptotic rows take
+    the direct and every relay-destination link at the grid SNR (load_config
+    refuses relay-destination offsets); their relays are error-free, so the
+    source-relay links do not enter.
     """
     spec = plan.spec
     snr_db = plan.snr_grid_db[index]
-    gbar = 10.0 ** (snr_db / 10.0)
     if source == "asymptotic":
-        # series depth follows the gamma-weighted term peak, which moves out
-        # linearly with average SNR
-        trunc = SeriesTruncation(max_terms=max(8192, int(80.0 * gbar)))
-        cfg = PepTermsConfig(SnrPoint.from_db(snr_db, snr_db), 1e-6, spec.M,
-                             truncation=trunc)
+        gbar = 10.0 ** (snr_db / 10.0)
+        cfg = PepTermsConfig(SnrPoint.from_db(snr_db, snr_db), 1e-6, spec.M)
         n = plan.n_relays
 
         def pep_fn(x_p, x_q, inner_cfg):

@@ -1,9 +1,9 @@
-"""Series kernels for the high-SNR asymptotic SER evaluators.
+"""Series kernels for the high-SNR conditional asymptotic series.
 
-``SeriesTruncation`` is the stopping policy of the asymptotic series, and
-``log_laguerre_neg_table`` tabulates the Laguerre factors of the conditional
-one.  Those series multiply factorially growing factors by exponentially
-small ones, so the table stays in log space.
+``SeriesTruncation`` is the stopping policy of ``pep_asymptotic_conditional``
+and ``log_laguerre_neg_table`` tabulates its Laguerre factors.  The series
+multiplies factorially growing factors by exponentially small ones, so the
+table stays in log space.
 """
 
 from __future__ import annotations

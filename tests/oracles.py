@@ -851,6 +851,84 @@ def asymptotic_average_reference(x_p, x_q, n_relays, gbar, nodes=64):
     return acc / (math.gamma(big_n + 1.0) * d ** (big_n + 1))
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a non-empty vector, shifted by its largest entry."""
+    mx = a.max()
+    if mx == -math.inf:
+        return mx
+    return mx + math.log(np.exp(a - mx).sum())
+
+
+def asymptotic_multirelay_series(x_p, x_q, n_relays, gbar, max_terms=None,
+                                 rel_tol=1e-10):
+    """The paper's fading-averaged multirelay series, summed term by term.
+
+    A double series in k and i whose inner coefficient is a running
+    cumulative over n-shells, stopped once the total settles between
+    doubling checkpoints.  ``max_terms`` defaults to max(8192, 80*gbar), a
+    depth that follows the term peak as it moves out linearly with SNR.
+    Raises if the series has not settled within ``max_terms``.
+    """
+    x_p = complex(x_p)
+    x_q = complex(x_q)
+    xbar = x_p - x_q
+    abs2 = abs(xbar) ** 2
+    beta = 2.0 * (x_p.conjugate() * xbar).real
+    big_n = int(n_relays)
+    k_cap = max(8192, int(80.0 * gbar)) if max_terms is None else int(max_terms)
+
+    a1 = 2.0 * abs2 - beta
+    a2 = 2.0 * abs2 + beta
+    c = 1.5 * abs2 - beta / 4.0
+    s = 1.0 / gbar + c
+    log_s = math.log(s)
+    log_a1 = math.log(a1) - _LN2
+    log_a2 = math.log(a2) - 2.0 * _LN2
+    lf = sp.gammaln(np.arange(2 * k_cap + 2 * big_n + 3) + 1.0)
+    log_pref = -lf[big_n] - (big_n + 1) * math.log(gbar)
+
+    # Running inner cumulative over i of sum_{n >= i} C(N+n, N+i)/2^(N+n+1),
+    # extended one n-shell per k step so memory stays linear in k.
+    n0 = np.arange(big_n + 1)
+    logcum = np.full(k_cap + big_n + 2, -np.inf)
+    for i in range(big_n + 1):
+        shells = lf[big_n + n0[i:]] - lf[big_n + i] - lf[n0[i:] - i] \
+            - (big_n + n0[i:] + 1) * _LN2
+        logcum[i] = _logsumexp(shells)
+
+    total = -math.inf
+    prev = None
+    converged = False
+    checkpoint = 32
+    hi = big_n  # current largest n in the cumulative
+    for k in range(k_cap + 1):
+        if k > 0:
+            hi = k + big_n
+            i_idx = np.arange(hi + 1)
+            new_shell = lf[big_n + hi] - lf[big_n + i_idx] - lf[hi - i_idx] \
+                - (big_n + hi + 1) * _LN2
+            logcum[: hi + 1] = np.logaddexp(logcum[: hi + 1], new_shell)
+        i_idx = np.arange(hi + 1)
+        inner = (
+            logcum[: hi + 1]
+            + i_idx * log_a2
+            - lf[i_idx]
+            + lf[big_n + k + i_idx]
+            - (big_n + k + i_idx + 1) * log_s
+        )
+        row = (k * log_a1 if k > 0 else 0.0) - lf[k] + _logsumexp(inner)
+        total = np.logaddexp(total, row)
+        if k + 1 >= checkpoint or k == k_cap:
+            if prev is not None and abs(total - prev) <= rel_tol:
+                converged = True
+                break
+            prev = total
+            checkpoint *= 2
+    if not converged:
+        raise RuntimeError(f"multirelay series not settled within {k_cap} terms")
+    return min(math.exp(log_pref + total), 1.0)
+
+
 def dpsk_ser_rayleigh(m, gbar):
     """Average M-DPSK symbol error rate over Rayleigh fading.
 

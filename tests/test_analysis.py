@@ -22,6 +22,7 @@ from oracles import (
     _cf_params,
     asymptotic_average_reference,
     asymptotic_conditional_direct,
+    asymptotic_multirelay_series,
     cf_pep_total,
     cf_self_check,
     event_monte_carlo,
@@ -409,13 +410,38 @@ class TestAsymptotic:
             ref = asymptotic_average_reference(QPSK.points[0], QPSK.points[1], n, gbar)
             assert val == pytest.approx(ref, rel=1e-6)
 
+    def test_multirelay_matches_series_oracle(self):
+        # the closed form is the paper's averaged series summed exactly
+        for m in (2, 4, 32):
+            pts = make_psk(m).points
+            for n in (1, 3):
+                for db in range(0, 43, 6):
+                    gbar = 10.0 ** (db / 10.0)
+                    res = pep_asymptotic_multirelay(
+                        pts[0], pts[1], n, gbar,
+                        PepTermsConfig(SnrPoint.from_db(db, db), EPS, m))
+                    assert res.converged and not res.warnings
+                    ref = asymptotic_multirelay_series(pts[0], pts[1], n, gbar)
+                    assert float(res) == pytest.approx(ref, rel=1e-12), (m, n, db)
+
+    def test_multirelay_has_full_diversity(self):
+        # P ~ C(2N+1, N) (2/g)^(N+1): the log-slope is N + 1 at high SNR
+        grid = np.arange(40.0, 61.0, 5.0)
+        for n in range(1, 5):
+            ser = [float(pep_asymptotic_multirelay(
+                QPSK.points[0], QPSK.points[1], n, 10.0 ** (db / 10.0),
+                qpsk_cfg(db, db))) for db in grid]
+            slope = fit_diversity_slope(SimpleNamespace(snr_db=grid, ser=np.array(ser)),
+                                        (40.0, 60.0))
+            assert slope == pytest.approx(n + 1, abs=0.02)
+
+    def test_multirelay_tends_to_half_at_zero_snr(self):
+        for n in range(1, 5):
+            val = float(pep_asymptotic_multirelay(
+                QPSK.points[0], QPSK.points[1], n, 1e-12, qpsk_cfg(0.0, 0.0)))
+            assert val == pytest.approx(0.5, abs=1e-11)
+
     def test_flags_exhausted_budget(self):
-        res = pep_asymptotic_multirelay(
-            QPSK.points[0], QPSK.points[1], 2, 10.0 ** 1.8,
-            qpsk_cfg(18.0, 18.0, truncation=SeriesTruncation(max_terms=64, rel_tol=1e-12)),
-        )
-        assert not res.converged
-        assert res.warnings
         tight = pep_asymptotic_conditional(
             QPSK.points[0], QPSK.points[1], 1, 50.0,
             truncation=SeriesTruncation(max_terms=8, rel_tol=1e-12),
@@ -455,6 +481,8 @@ class TestAsymptotic:
             )
         with pytest.raises(ValueError):
             pep_asymptotic_conditional(1.0 + 0.0j, 0.5 + 0.0j, 1, 1.0)
+        with pytest.raises(ValueError, match="equal-modulus"):
+            pep_asymptotic_multirelay(1.0 + 0.0j, 0.5 + 0.0j, 1, 10.0, qpsk_cfg(10.0, 10.0))
 
 
 class TestDiversitySlope:

@@ -131,6 +131,16 @@ class TestConfigValidation:
         assert len(grid) == 13
         assert grid[0] == 0.0 and grid[-1] == 36.0 and grid[4] == 12.0
 
+    @pytest.mark.parametrize("rng, expected", [
+        ({"start": 0, "stop": 11, "step": 4}, (0.0, 4.0, 8.0)),
+        ({"start": 0, "stop": 36, "step": 1}, tuple(float(v) for v in range(37))),
+        ({"start": 0, "stop": 1, "step": 0.1}, tuple(round(0.1 * i, 9) for i in range(11))),
+    ])
+    def test_grid_range_never_passes_stop(self, tmp_path, rng, expected):
+        doc = minimal_doc(grid_db=rng)
+        grid = load_config(write_yaml(tmp_path / "c.yaml", doc)).jobs[0].plan.snr_grid_db
+        assert grid == expected
+
     def test_missing_required_sections(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", {"version": 1, "grid_db": [1.0]})
         with pytest.raises(ConfigError, match="constellation is required"):
@@ -187,6 +197,22 @@ class TestConfigValidation:
                           analysis={"asymptotic": True})
         with pytest.raises(ConfigError, match="PSK alphabet"):
             load_config(write_yaml(tmp_path / "c.yaml", doc))
+
+    def test_asymptotic_refuses_relay_destination_offsets(self, tmp_path):
+        # the law takes one mean SNR for the direct and every relay-destination
+        # link, so offset relay-destination links would print the equal-SNR value
+        doc = minimal_doc(n_relays=2, tying="custom", sr_offsets_db=[0.0, 0.0],
+                          rd_offsets_db=[10.0, 10.0], analysis={"asymptotic": True})
+        with pytest.raises(ConfigError, match="rd_offsets_db"):
+            load_config(write_yaml(tmp_path / "c.yaml", doc))
+
+    def test_asymptotic_accepts_source_relay_offsets(self, tmp_path):
+        # error-free relays: the source-relay links do not enter the law
+        doc = minimal_doc(n_relays=2, tying="custom", sr_offsets_db=[10.0, 10.0],
+                          rd_offsets_db=[0.0, 0.0], analysis={"asymptotic": True})
+        job = load_config(write_yaml(tmp_path / "c.yaml", doc)).jobs[0]
+        assert job.asymptotic
+        assert job.plan.sr_offsets_db == (10.0, 10.0)
 
     def test_compare_must_name_job_labels(self, tmp_path):
         doc = minimal_doc(compare=[{"a": "psk4_pl", "b": "nope"}])
