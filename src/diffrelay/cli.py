@@ -91,13 +91,33 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"{where} has unrecognized keys: {', '.join(unknown)}")
 
 
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, where):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _integer(value, where):
+    """A whole number; a fraction is refused rather than truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _grid_from(value, where):
     if isinstance(value, dict):
         _check_keys(value, {"start", "stop", "step"}, where)
         try:
-            start = float(value["start"])
-            stop = float(value["stop"])
-            step = float(value["step"])
+            start, stop, step = (_number(value[k], f"{where}.{k}")
+                                 for k in ("start", "stop", "step"))
         except KeyError as exc:
             raise ConfigError(f"{where} range needs start, stop, step") from exc
         if step <= 0.0 or stop < start:
@@ -108,7 +128,7 @@ def _grid_from(value, where):
     if isinstance(value, (list, tuple)):
         if not value:
             raise ConfigError(f"{where} must not be empty")
-        return tuple(float(v) for v in value)
+        return _numbers(value, where)
     raise ConfigError(f"{where} must be a list or a start/stop/step mapping")
 
 
@@ -130,17 +150,17 @@ def _decoder_from(mapping, where):
     eps = mapping.get("epsilons", ())
     if eps is None:
         eps = ()
-    if not isinstance(eps, (list, tuple)):
-        raise ConfigError(f"{where}.epsilons must be a list")
-    return DecoderConfig(mapping["kind"], epsilons=tuple(float(v) for v in eps))
+    return DecoderConfig(mapping["kind"], epsilons=_numbers(eps, f"{where}.epsilons"))
 
 
 def _trials_from(mapping, where):
     _check_keys(mapping, _TRIALS_KEYS, where)
     defaults = TrialsPolicy()
     return TrialsPolicy(
-        min_errors=int(mapping.get("min_errors", defaults.min_errors)),
-        max_trials=int(mapping.get("max_trials", defaults.max_trials)),
+        min_errors=_integer(mapping.get("min_errors", defaults.min_errors),
+                            f"{where}.min_errors"),
+        max_trials=_integer(mapping.get("max_trials", defaults.max_trials),
+                            f"{where}.max_trials"),
     )
 
 
@@ -248,8 +268,8 @@ def load_config(path, *, seed=None, output_dir=None):
                 "remove those keys or drop the preset"
             )
 
-    run_seed = int(doc.get("seed", 0)) if seed is None else int(seed)
-    frame_len = int(doc.get("frame_len", 64))
+    run_seed = _integer(doc.get("seed", 0) if seed is None else seed, "config.seed")
+    frame_len = _integer(doc.get("frame_len", 64), "config.frame_len")
     trials = _trials_from(doc.get("trials", {}), "config.trials")
 
     calibration = None
@@ -269,8 +289,9 @@ def load_config(path, *, seed=None, output_dir=None):
         target = cal.get("target_std_err")
         calibration = CalibrationConfig(
             path=str(cal["path"]), grid_db=cal_grid, method=method,
-            trials=int(cal.get("trials", 1_000_000)),
-            target_std_err=None if target is None else float(target),
+            trials=_integer(cal.get("trials", 1_000_000), "config.calibration.trials"),
+            target_std_err=None if target is None else _number(
+                target, "config.calibration.target_std_err"),
         )
 
     try:
@@ -288,8 +309,10 @@ def load_config(path, *, seed=None, output_dir=None):
             analysis = doc.get("analysis", {})
             _check_keys(analysis, _ANALYSIS_KEYS, "config.analysis")
             toggles = {k: bool(analysis.get(k, False)) for k in _ANALYSIS_KEYS}
-            n_relays = int(doc.get("n_relays", 1))
+            n_relays = _integer(doc.get("n_relays", 1), "config.n_relays")
             tying = doc.get("tying", "all_equal")
+            sr_offsets, rd_offsets = (_numbers(doc.get(key, ()), f"config.{key}")
+                                      for key in ("sr_offsets_db", "rd_offsets_db"))
             if toggles["closed_form"] or toggles["quadrature"]:
                 if spec.kind != "psk" or n_relays != 1:
                     raise ConfigError(
@@ -305,7 +328,7 @@ def load_config(path, *, seed=None, output_dir=None):
             if toggles["asymptotic"]:
                 if spec.kind != "psk":
                     raise ConfigError("asymptotic analysis needs a PSK alphabet")
-                if tying == "custom" and any(doc.get("rd_offsets_db", ())):
+                if tying == "custom" and any(rd_offsets):
                     raise ConfigError(
                         "asymptotic analysis takes one mean SNR for the direct and "
                         "every relay-destination link; it cannot serve nonzero "
@@ -318,8 +341,7 @@ def load_config(path, *, seed=None, output_dir=None):
                 _job(
                     label, spec, decoder, grid, trials, run_seed, frame_len,
                     n_relays=n_relays, tying=tying,
-                    sr_offsets=tuple(doc.get("sr_offsets_db", ())),
-                    rd_offsets=tuple(doc.get("rd_offsets_db", ())),
+                    sr_offsets=sr_offsets, rd_offsets=rd_offsets,
                     sr_eps=doc.get("sr_eps", "configured"),
                     zero_noise=bool(doc.get("zero_noise", False)),
                     **toggles,
@@ -486,7 +508,8 @@ def cmd_sweep(config, workers=1):
             "points_ok": int(curve.snr_db.size),
             "points": [
                 {"snr_db": p.snr_db, "errors": p.errors, "trials": p.trials,
-                 "fallbacks": p.fallbacks}
+                 "fallbacks": p.fallbacks, "stop_reason": p.stop_reason,
+                 "rounds": p.rounds}
                 for p in curve.points if p.failure is None
             ],
             "failures": [

@@ -20,7 +20,8 @@ Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
 (R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
 tournament runs candidate-major, (M, n) and (M, R, n), carrying the
 champion's values instead of gathering them.  The tournament's fallback
-sums its clipped relay terms one relay at a time into one (bad, M, M) array.
+sums its clipped relay terms one relay at a time into (chunk, M, M) arrays
+of _FALLBACK_CHUNK instances.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
@@ -31,6 +32,35 @@ direct link's score, the combination and the decision.  B may be a worker's
 whole share of a round, so the loop's overhead is paid once per share.
 Blocking changes no element's arithmetic, so every decision is the same for
 any block size.
+
+Certificates.  Most PSK decisions are proved without the M-wide kernel.
+With a = Re(z0 x)/sigma0^2 the direct link's statistics and b_r relay r's,
+PL compares k with q through (a_k - a_q) + sum_r clip(b_rk - b_rq, +-T_r)
+and ML through (a_k - a_q) + sum_r (g_r(k) - g_r(q)), g_r the log mixture.
+Each relay term lies in [-T_r, T_r], T_r = ln((M-1)(1-eps_r)/eps_r) (the
+clip, or the range of the mixture's log ratio), and it is >= 0 when k is
+that relay's own best candidate, as long as T_r >= 0.  So when the direct
+link's best candidate k0 beats its runner-up by more than the sum of T_r
+over the relays whose own best is not k0, k0 beats every rival: it is the
+ML argmax and the PL unanimous winner, with no fallback.  For PSK the
+runner-up is a neighbour of k0, and a relay's best is k0 when z_r x_k0 lies
+in the sector |arg| < pi/M.  The kernel rounds, so the test keeps a float
+margin: a pair product within _CERT_SLACK rad of a sector edge counts as
+disagreeing, and the margin, computed with the kernel's own arithmetic,
+must exceed the sum by _CERT_SLACK (1 + sum over links of
+(|Re z| + |Im z|) / sigma^2), which bounds every term the kernel adds.
+T_r = inf (eps_r = 0) certifies only when every relay agrees; any T_r < 0
+(eps_r > (M-1)/M) certifies nothing.  The uncertified pairs go through the
+unchanged kernel, so every decision and fallback count is the kernel's.  A
+call's leading _CERT_PROBE pairs are a probe: when fewer than
+_CERT_MIN_SHARE of them certify (low SNR, large M), the rest of the call is
+not certified, since there the certificate costs more than it saves.
+
+One relay.  With N = 1, lam(k, q) > 0 iff a_k - a_q > -T and (a_k - a_q > T
+or c_k > c_q), c = a + b, so the only possible unanimous winner is the
+argmax of c over {q : a_q > max a - T}.  The tournament verifies that
+candidate with its usual M-wide check and sends the instances that fail
+through the sequential sweep, so rounding cannot change a decision.
 """
 
 from __future__ import annotations
@@ -51,6 +81,17 @@ _EXP_CLAMP = 700.0
 # points: smaller PSK blocks cost time per point, larger ones memory.
 _PSK_BLOCK = 4096
 _QAM_BLOCK = 4
+# Certificates: pairs in a call's leading probe, the share of it that must
+# certify for the rest of the call to be certified, and the relative and
+# absolute slack on a margin, which is also the phase kept clear of a sector
+# edge.  Measured on the benchmark's psk-4/16/32 points at 0 and 10 dB, where
+# fewer than half of the pairs certify: certifying every pair decodes up to
+# 18% slower than stopping after the probe.
+_CERT_PROBE = 512
+_CERT_MIN_SHARE = 0.5
+_CERT_SLACK = 1e-9
+# Instances per chunk of the tournament's (chunk, M, M) fallback statistics.
+_FALLBACK_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -131,20 +172,59 @@ def _ml_objective(base, rels, epsilons):
     return obj
 
 
+def _unanimous(cb, cr, base, rels, thr):
+    """Whether each candidate beats every rival (a positive pairwise statistic).
+
+    cb (n,) and cr (R, n) are the candidates' own base and relay values.
+    """
+    lam = cb - base
+    lam += np.clip(cr - rels, -thr, thr).sum(axis=1)
+    # a candidate's statistic against itself is exactly 0, never positive
+    return np.count_nonzero(lam > 0.0, axis=0) == base.shape[0] - 1
+
+
 def _tournament(base, rels, thresholds):
     """Winner of the pairwise clipped-statistic rule, candidate-major.
 
     base has shape (M, n) and rels (M, R, n).  A candidate wins when its
-    pairwise statistic against every rival is positive; a champion found by a
-    sequential tournament is verified against all rivals, and when no
-    unanimous winner exists the candidate with the largest total pairwise
-    statistic is chosen (lowest index on ties).  The champion's own base and
-    relay values are carried along and overwritten where it loses, so no
-    step gathers.  Returns (winners of shape (n,), number of instances that
-    needed the total-statistic fallback).
+    pairwise statistic against every rival is positive; when no unanimous
+    winner exists the candidate with the largest total pairwise statistic is
+    chosen (lowest index on ties).  With one relay the only possible
+    unanimous winner is named by the exact one-relay rule and verified;
+    every other instance goes through the sequential sweep.  Returns
+    (winners of shape (n,), number of instances that needed the
+    total-statistic fallback).
+    """
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    if thr.shape[0] != 1:
+        return _sweep(base, rels, thr)
+    # lam(k, q) > 0 iff a_k - a_q > -T and (a_k - a_q > T or c_k > c_q), with
+    # a = base and c = base + rel, so a unanimous winner is the argmax of c
+    # over {q : a_q > max a - T}
+    m = base.shape[0]
+    c = base + rels[:, 0]
+    c[~(base > base.max(axis=0) - thr[0])] = -np.inf
+    # the first row holding the column's largest c; reductions down the
+    # candidate axis are fast, an argmax over it is not
+    champ = np.where(c < c.max(axis=0), m - 1, np.arange(m)[:, None]).min(axis=0)
+    at = champ[None, None, :]
+    ok = _unanimous(np.take_along_axis(base, at[0], axis=0)[0],
+                    np.take_along_axis(rels, at, axis=0)[0], base, rels, thr)
+    left = np.flatnonzero(~ok)
+    if not left.size:
+        return champ, 0
+    champ[left], n_fallback = _sweep(base[:, left], rels[:, :, left], thr)
+    return champ, n_fallback
+
+
+def _sweep(base, rels, thr):
+    """The sequential tournament, its verification and the fallback.
+
+    A champion found by the sweep is verified against all rivals.  The
+    champion's own base and relay values are carried along and overwritten
+    where it loses, so no step gathers.
     """
     m, n = base.shape
-    thr = np.asarray(thresholds, dtype=float)[:, None]
     champ = np.zeros(n, dtype=np.int64)
     cb = base[0].copy()
     cr = rels[0].copy()
@@ -155,23 +235,37 @@ def _tournament(base, rels, thresholds):
         np.putmask(champ, lose, q)
         np.copyto(cb, base[q], where=lose)
         np.copyto(cr, rels[q], where=lose)
-    lam_all = cb - base
-    lam_all += np.clip(cr - rels, -thr, thr).sum(axis=1)
-    # the champion's statistic against itself is exactly 0, never positive
-    bad = np.flatnonzero(np.count_nonzero(lam_all > 0.0, axis=0) < m - 1)
+    bad = np.flatnonzero(~_unanimous(cb, cr, base, rels, thr))
     if bad.size:
-        # lam[b, k, q] = (base_k - base_q) + sum over r of clip(r_k - r_q),
-        # the relay terms added in relay order into one (bad, M, M) array
-        lam_mat = np.zeros((bad.size, m, m))
-        diff = np.empty_like(lam_mat)
-        for r, t in enumerate(thr[:, 0]):
-            r2 = rels[:, r, bad].T
-            np.subtract(r2[:, :, None], r2[:, None, :], out=diff)
-            lam_mat += np.clip(diff, -t, t, out=diff)
-        b2 = base[:, bad].T
-        lam_mat += np.subtract(b2[:, :, None], b2[:, None, :], out=diff)
-        champ[bad] = np.argmax(lam_mat.sum(axis=-1), axis=-1)
+        champ[bad] = _fallback(base[:, bad], rels[:, :, bad], thr[:, 0])
     return champ, int(bad.size)
+
+
+def _fallback(base, rels, thresholds):
+    """Largest total pairwise statistic per instance, lowest index on ties.
+
+    lam[b, k, q] = sum over r of clip(r_k - r_q), summed in relay order, plus
+    (base_k - base_q).  It is built _FALLBACK_CHUNK instances at a time, the
+    first term written in place, so its arrays stay small.
+    """
+    m, n = base.shape
+    terms = [(rels[:, r], t) for r, t in enumerate(thresholds)] + [(base, None)]
+    lam = np.empty((min(n, _FALLBACK_CHUNK), m, m))
+    diff = np.empty_like(lam)
+    winners = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _FALLBACK_CHUNK):
+        hi = min(lo + _FALLBACK_CHUNK, n)
+        acc, tmp = lam[:hi - lo], diff[:hi - lo]
+        for i, (vals, t) in enumerate(terms):
+            v = vals[:, lo:hi].T
+            out = tmp if i else acc
+            np.subtract(v[:, :, None], v[:, None, :], out=out)
+            if t is not None:
+                np.clip(out, -t, t, out=out)
+            if i:
+                acc += tmp
+        winners[lo:hi] = np.argmax(acc.sum(axis=-1), axis=-1)
+    return winners
 
 
 def _check_psk(spec: ConstellationSpec) -> None:
@@ -184,14 +278,51 @@ def _check_qam(spec: ConstellationSpec) -> None:
         raise ValueError(f"expected a qam constellation, got {spec.kind!r}")
 
 
+def _certify(z0, zr, sd_noise_var, rd_noise_vars, points, thresholds):
+    """Direct-link DPSK decisions k0 of the pair products, and which are proved.
+
+    z0 has shape (n,) and zr (R, n).  A pair is certified when k0's margin
+    over its two neighbours, in the kernel's own arithmetic, exceeds the sum
+    of T_r over the relays whose pair product lies outside k0's sector (or
+    within _CERT_SLACK of its edge) by a relative-plus-absolute slack; the
+    decoder's decision on it is then k0 (module docstring).
+    """
+    m = len(points)
+    # rint(-angle M / 2 pi) lies in [-M/2, M/2]; negative values index from
+    # the end, so the neighbours need no reduction modulo M
+    k0 = np.rint(np.angle(z0) * (-m / (2.0 * math.pi))).astype(np.int64)
+    x0 = points[k0]
+    margin = np.real(z0 * x0) / sd_noise_var
+    prev = np.real(z0 * points[k0 - 1]) / sd_noise_var
+    nxt = np.real(z0 * np.roll(points, -1)[k0]) / sd_noise_var
+    margin -= np.maximum(prev, nxt, out=prev)
+    # |Re z| + |Im z| >= |z| bounds every statistic of a link, hence the
+    # rounding of every term the kernel adds
+    scale = np.abs(z0.real) + np.abs(z0.imag)
+    scale /= sd_noise_var
+    tan_edge = math.tan(math.pi / m - _CERT_SLACK)
+    for z, nv, t in zip(zr, rd_noise_vars, thresholds):
+        w = z * x0
+        w_abs = np.abs(w.imag)
+        outside = w_abs >= tan_edge * w.real
+        np.subtract(margin, t, out=margin, where=outside)
+        w_abs += np.abs(w.real)
+        w_abs /= nv
+        scale += w_abs
+    scale += 1.0
+    scale *= _CERT_SLACK
+    k0 %= m
+    return k0, margin > scale
+
+
 def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     """Decode whole PSK frames at once.
 
     y_sd has shape (..., L+1) and y_rd shape (R, ..., L+1); returns
     (indices of shape (..., L), pairwise-fallback count).  Each decision
-    depends only on its own sample pairs, so the candidates are scored over
-    blocks of _PSK_BLOCK pairs and the working set does not grow with the
-    batch.
+    depends only on its own sample pairs.  Pairs a certificate proves take
+    the direct link's decision; the others are scored over blocks of
+    _PSK_BLOCK pairs, so the working set does not grow with the batch.
     """
     _check_psk(spec)
     y_sd = np.asarray(y_sd)
@@ -206,9 +337,13 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     points = spec.points[:, None] if pl else spec.points
     thresholds = cfg.resolved_thresholds(spec.M)
     epsilons = cfg.effective_epsilons()
+    rest = np.arange(z0.size)
+    if all(t >= 0.0 for t in thresholds):
+        rest = _certified_rest(z0, zr, sd_noise_var, rd_noise_vars, spec.points,
+                               thresholds, decisions)
     n_fallback = 0
-    for lo in range(0, z0.size, _PSK_BLOCK):
-        blk = slice(lo, lo + _PSK_BLOCK)
+    for lo in range(0, rest.size, _PSK_BLOCK):
+        blk = rest[lo:lo + _PSK_BLOCK]
         t0 = _psk_statistics(z0[blk], points, sd_noise_var)
         if pl:
             rels = np.empty((spec.M, n_rel, t0.shape[1]))
@@ -220,6 +355,27 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
             rels = [_psk_statistics(z[blk], points, nv) for z, nv in zip(zr, rd_noise_vars)]
             decisions[blk] = np.argmax(_ml_objective(t0, rels, epsilons), axis=-1)
     return decisions.reshape(y_sd.shape[:-1] + (-1,)), n_fallback
+
+
+def _certified_rest(z0, zr, sd_noise_var, rd_noise_vars, points, thresholds, decisions):
+    """Write the decisions of the certified pairs; return the other pairs' indices.
+
+    The leading _CERT_PROBE pairs are a probe: when fewer than
+    _CERT_MIN_SHARE of them certify, the rest of the call goes to the kernel
+    uncertified, since there the certificate costs more than it saves.
+    """
+    n = z0.size
+    edges = [0, *range(min(n, _CERT_PROBE), n, _PSK_BLOCK), n]
+    rest = []
+    for lo, hi in zip(edges, edges[1:]):
+        k0, ok = _certify(z0[lo:hi], zr[:, lo:hi], sd_noise_var, rd_noise_vars,
+                          points, thresholds)
+        np.copyto(decisions[lo:hi], k0, where=ok)
+        rest.append(lo + np.flatnonzero(~ok))
+        if lo == 0 and np.count_nonzero(ok) < _CERT_MIN_SHARE * hi:
+            rest.append(np.arange(hi, n))
+            break
+    return np.concatenate(rest)
 
 
 def decode_qam_frames(

@@ -155,7 +155,12 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class SerPoint:
-    """One SER estimate: counts, rate, Wilson 95% interval, diagnostics."""
+    """One SER estimate: counts, rate, Wilson 95% interval, diagnostics.
+
+    ``stop_reason`` says which half of the stopping rule ended the point,
+    ``"min_errors"`` or ``"max_trials"`` (None for a failed point), and
+    ``rounds`` counts its simulation rounds.
+    """
 
     snr_db: float
     errors: int
@@ -165,6 +170,8 @@ class SerPoint:
     ci_high: float
     fallbacks: int = 0
     failure: str | None = None
+    stop_reason: str | None = None
+    rounds: int = 0
 
 
 @dataclass(frozen=True)
@@ -366,6 +373,7 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     sum_sq = 0
     fallbacks = 0
     batch = 0
+    rounds = 0
 
     def simulate(share):
         return _simulate_batch(plan, index, share, decoder_cfg)
@@ -387,6 +395,7 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                 n_frames += take
                 batch += 1
             trials = n_frames * length
+            rounds += 1
             size = -(-len(jobs) // max(workers, 1)) if plan.spec.kind == "qam" else 1
             shares = [jobs[i:i + size] for i in range(0, len(jobs), size)]
             for err, sq, fb in list(run_jobs(simulate, shares)):
@@ -395,7 +404,9 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                 fallbacks += fb
     n_eff = _effective_trials(trials, n_frames, errors, sum_sq)
     lo, hi = wilson_interval(errors, trials, n_eff)
-    return SerPoint(snr_db, errors, trials, errors / trials, lo, hi, fallbacks)
+    stop = "min_errors" if errors >= plan.trials.min_errors else "max_trials"
+    return SerPoint(snr_db, errors, trials, errors / trials, lo, hi, fallbacks,
+                    stop_reason=stop, rounds=rounds)
 
 
 def run_sweep(plan: ExperimentPlan, workers: int = 1) -> SerCurve:

@@ -124,6 +124,50 @@ class TestConfigValidation:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("key", ["sr_offsets_db", "rd_offsets_db"])
+    def test_scalar_link_offsets_rejected(self, tmp_path, key):
+        doc = minimal_doc(tying="custom", sr_offsets_db=[0.0], rd_offsets_db=[0.0])
+        doc[key] = 3.0
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=f"config.{key} must be a list"):
+            load_config(path)
+        assert main(["sweep", path]) == 2
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d: d.update(grid_db=[10.0, None]), r"config.grid_db\[1\]"),
+        (lambda d: d.update(grid_db={"start": 0, "stop": None, "step": 3}),
+         "config.grid_db.stop"),
+        (lambda d: d["decoder"].update(epsilons=[None]), r"config.decoder.epsilons\[0\]"),
+    ])
+    def test_null_numbers_rejected(self, tmp_path, mutate, where):
+        doc = minimal_doc()
+        mutate(doc)
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=f"{where} must be a number, got None"):
+            load_config(path)
+        assert main(["sweep", path]) == 2
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d: d.update(n_relays=1.7), "config.n_relays"),
+        (lambda d: d.update(frame_len=63.5), "config.frame_len"),
+        (lambda d: d.update(seed=2.5), "config.seed"),
+        (lambda d: d.update(trials={"min_errors": 99.9}), "config.trials.min_errors"),
+        (lambda d: d.update(trials={"max_trials": 1e5 + 0.5}), "config.trials.max_trials"),
+        (lambda d: d.update(calibration={"path": "e.csv", "trials": 1000.5}),
+         "config.calibration.trials"),
+    ])
+    def test_fractional_integers_rejected(self, tmp_path, mutate, where):
+        # n_relays: 1.7 used to run one relay without a word
+        doc = minimal_doc()
+        mutate(doc)
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=f"{where} must be an integer"):
+            load_config(path)
+        assert main(["sweep", path]) == 2
+        doc = minimal_doc(n_relays=2.0, seed=4.0)  # whole floats stay accepted
+        plan = load_config(write_yaml(tmp_path / "d.yaml", doc)).jobs[0].plan
+        assert (plan.n_relays, plan.seed) == (2, 4)
+
     def test_grid_range_expands_inclusively(self, tmp_path):
         doc = minimal_doc(grid_db={"start": 0, "stop": 36, "step": 3})
         cfg = load_config(write_yaml(tmp_path / "c.yaml", doc))
@@ -370,6 +414,14 @@ class TestSweepCommand:
             assert row["errors"] >= 120
             assert row["seed"] == 3
 
+    def test_json_points_say_why_they_stopped(self, sweep_outputs):
+        tmp, _ = sweep_outputs
+        (curve,) = json.loads((tmp / "run.json").read_text())["curves"]
+        for point in curve["points"]:
+            assert point["stop_reason"] == "min_errors"  # 120 errors, 2M-trial budget
+            assert point["errors"] >= 120
+            assert 1 <= point["rounds"] and point["trials"] <= point["rounds"] * 8 * 8192
+
     def test_analysis_tracks_simulation(self, sweep_outputs):
         tmp, _ = sweep_outputs
         rows = read_rows(str(tmp / "run.csv"))
@@ -453,7 +505,7 @@ class TestSweepCommand:
         assert curve["points_ok"] == 2
         rows = [r for r in read_rows(str(tmp / "run.csv")) if r["source"] == "mc"]
         assert [sorted(p) for p in curve["points"]] == [
-            ["errors", "fallbacks", "snr_db", "trials"]] * 2
+            ["errors", "fallbacks", "rounds", "snr_db", "stop_reason", "trials"]] * 2
         assert [(p["snr_db"], p["errors"], p["trials"]) for p in curve["points"]] == [
             (r["snr_db"], r["errors"], r["trials"]) for r in rows]
         assert all(isinstance(p["fallbacks"], int) and p["fallbacks"] >= 0

@@ -17,15 +17,20 @@ from oracles import (
     qam_pair_objective,
 )
 
+from diffrelay import decoders
 from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stream
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.decoders import (
+    _CERT_PROBE,
+    _FALLBACK_CHUNK,
     _PSK_BLOCK,
     _QAM_BLOCK,
     DecoderConfig,
+    _certify,
     _counted_ml_decode,
     _counted_pl_decode,
     _mixture_log_scores,
+    _sweep,
     _tournament,
     clip_threshold,
     count_ops,
@@ -34,6 +39,7 @@ from diffrelay.decoders import (
 )
 from diffrelay.diffmod import encode_psk_frame, encode_qam_frame
 from diffrelay.relay import analytic_epsilon_psk, calibrate_epsilon, relay_process_frame
+from diffrelay.simkit import ExperimentPlan, TrialsPolicy, run_point
 
 QPSK = make_psk(4)
 QAM16 = make_qam(16)
@@ -671,6 +677,222 @@ class TestBlocks:
         assert got_fb == expect_fb
         if kind == "pl":
             assert got_fb > 0  # the fallback ran in some block
+
+
+def product_frames(z0, zr):
+    """One-data-symbol frames whose pair products are exactly z0 (n,) and zr (R, n)."""
+    return (np.stack([np.ones_like(z0), np.conj(z0)], axis=-1),
+            np.stack([np.ones_like(zr), np.conj(zr)], axis=-1))
+
+
+def adversarial_products(m, n_rel, t_ref, noise_var, n=2000, seed=0):
+    """Pair products placed where a certificate is hardest to get right.
+
+    The direct link sits at the centre of a sector, on an edge, or 1e-12 to
+    1e-6 rad inside one, and its margin over its neighbours is 0.5 to 3
+    times t_ref, times 1 + (0 or +-1e-12 .. 1e-6); a quarter of the pairs
+    take a magnitude between 0.1 and 10 instead.  Each relay sits at the
+    direct link's sector centre, on or 1e-12 to 1e-8 rad either side of its
+    edges, or opposite, with magnitude 1e-3, 1 or 1e3.  Returns (z0, zr).
+    """
+    rng = make_stream(40, m, n_rel, seed)
+    edge = math.pi / m
+    inner = [0.0, 0.5 * edge] + [edge - d for d in (1e-12, 1e-9, 2e-9, 1e-6)]
+    phi = rng.choice(inner + [edge], size=n) * rng.choice([-1.0, 1.0], size=n)
+    gap = np.cos(phi) - np.cos(2.0 * edge - np.abs(phi))
+    scale = rng.choice([0.5, 1.0, 2.0, 3.0], size=n) \
+        * (1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6], size=n))
+    r0 = np.where(gap > 0.0, scale * t_ref * noise_var / np.where(gap > 0.0, gap, 1.0), 1.0)
+    r0 = np.where(rng.random(n) < 0.25, rng.uniform(0.1, 10.0, size=n), r0)
+    centre = -2.0 * math.pi * rng.integers(0, m, size=n) / m
+    z0 = r0 * np.exp(1j * (centre + phi))
+    offsets = [0.0, math.pi, edge, -edge] + [edge + d for d in (1e-12, -1e-12, 1e-8, -1e-8)]
+    psi = rng.choice(offsets, size=(n_rel, n)) * rng.choice([-1.0, 1.0], size=(n_rel, n))
+    r = rng.choice([1e-3, 1.0, 1e3], size=(n_rel, n))
+    return z0, r * np.exp(1j * (centre + psi))
+
+
+def certify_nothing(z0, *_):
+    """Stand-in for decoders._certify that leaves every pair to the kernel."""
+    return np.zeros(z0.size, dtype=np.int64), np.zeros(z0.size, dtype=bool)
+
+
+def kernel_decode(monkeypatch, *args):
+    """decode_psk_frames with no pair certified, so the kernel decides every pair."""
+    with monkeypatch.context() as patch:
+        patch.setattr(decoders, "_certify", certify_nothing)
+        return decode_psk_frames(*args)
+
+
+def uniform_eps(m):
+    return (m - 1) / m
+
+
+class TestCertificates:
+    """A certified pair takes the direct link's decision; it must be the kernel's."""
+
+    NV = 0.5
+    # relay epsilons: a typical value, the uniform rate (T = 0), above it
+    # (T < 0: nothing certifies) and zero (T = inf: only agreement certifies)
+    EPS = {"typical": lambda m: 0.05, "uniform": uniform_eps,
+           "above": lambda m: 0.5 * (1.0 + uniform_eps(m)), "zero": lambda m: 0.0}
+
+    @pytest.mark.parametrize("eps_case", ["typical", "uniform", "above", "zero"])
+    @pytest.mark.parametrize("n_rel", [0, 1, 3])
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    @pytest.mark.parametrize("kind", ["ml", "pl", "naive_eps0"])
+    def test_matches_kernel_and_oracles(self, monkeypatch, kind, m, n_rel, eps_case):
+        spec = make_psk(m)
+        cfg = DecoderConfig(kind=kind, epsilons=(self.EPS[eps_case](m),) * n_rel)
+        thresholds = cfg.resolved_thresholds(m)
+        finite = [t for t in thresholds if 0.0 < t < math.inf]
+        z0, zr = adversarial_products(m, n_rel, finite[0] if finite else 3.0, self.NV)
+        y_sd, y_rd = product_frames(z0, zr)
+        args = (y_sd, y_rd, self.NV, (self.NV,) * n_rel, spec, cfg)
+        got, got_fb = decode_psk_frames(*args)
+        expect, expect_fb = kernel_decode(monkeypatch, *args)
+        np.testing.assert_array_equal(got, expect)
+        assert got_fb == expect_fb
+        if min(thresholds, default=1.0) >= 0.0:  # else the decoder certifies nothing
+            k0, ok = _certify(z0, zr, self.NV, (self.NV,) * n_rel, spec.points, thresholds)
+            np.testing.assert_array_equal(k0[ok], expect[ok, 0])
+            assert 0 < np.count_nonzero(ok) < ok.size  # both sides were exercised
+        got = got[:, 0]
+        base = correlations(y_sd, spec.points, self.NV)
+        rel_stats = correlations(y_rd, spec.points, self.NV)  # (R, n, M)
+        if kind == "pl":
+            rels = np.moveaxis(rel_stats, 0, -2)
+            oracle, oracle_fb = pairwise_select_bruteforce(base, rels, thresholds)
+            np.testing.assert_array_equal(got, oracle)
+            assert got_fb == oracle_fb
+            return
+        # the density oracle underflows at large statistics and rounds
+        # differently at near-ties, so it judges the moderate, clear pairs
+        with np.errstate(all="ignore"):
+            obj = base + sum(np.log((1.0 - e) * np.exp(r) + e / (m - 1)
+                                    * (np.exp(r).sum(axis=-1, keepdims=True) - np.exp(r)))
+                             for r, e in zip(rel_stats, cfg.effective_epsilons()))
+        top2 = np.sort(obj, axis=-1)[:, -2:]
+        small = np.all(np.abs(zr) <= 20.0, axis=0) & (np.abs(z0) <= 20.0)
+        clear = small & (top2[:, 1] - top2[:, 0] > 1e-6)
+        assert np.count_nonzero(clear) > 100
+        oracle = pdf_decode_psk(y_sd[:, 0], y_sd[:, 1], y_rd[..., 0], y_rd[..., 1], self.NV,
+                                (self.NV,) * n_rel, spec.points, cfg.effective_epsilons())
+        np.testing.assert_array_equal(got[clear], oracle[clear])
+
+    def test_exact_ties_never_certify(self):
+        # conj(1 - 1j) (1 + 0j) = 1 - 1j has the same statistic, 1.0 exactly,
+        # against candidates 0 and 1 of QPSK (phase -pi/4, a sector edge)
+        z0 = np.full(3, 1.0 - 1.0j)
+        zr = np.array([[1.0 + 0.0j, 1.0 - 1.0j, 0.0 + 1.0j]])
+        stats = np.real(z0[:, None] * QPSK.points)
+        assert stats[0, 0] == stats[0, 1]
+        for kind in ("ml", "pl", "naive_eps0"):
+            cfg = DecoderConfig(kind=kind, epsilons=(0.05,))
+            _, ok = _certify(z0, zr, 1.0, (1.0,), QPSK.points, cfg.resolved_thresholds(4))
+            assert not ok.any()
+
+    def test_relay_on_a_sector_edge_disagrees(self):
+        # direct link dead centre on candidate 0 with a margin just short of
+        # T: a relay exactly on the edge of that sector must count against it
+        t = clip_threshold(4, 0.05)
+        z0 = np.array([0.999 * t / (1.0 - math.cos(math.pi / 2))])
+        for psi in (math.pi / 4, -math.pi / 4):
+            zr = np.array([[np.exp(1j * psi)]])
+            _, ok = _certify(z0, zr, 1.0, (1.0,), QPSK.points, (t,))
+            assert not ok.any()
+            zr_in = np.array([[np.exp(1j * 0.5 * psi)]])
+            _, ok = _certify(z0, zr_in, 1.0, (1.0,), QPSK.points, (t,))
+            assert ok.all()
+
+    @pytest.mark.parametrize("kind", ["ml", "pl"])
+    def test_probe_switches_certificates_off(self, monkeypatch, kind):
+        # a noisy leading probe turns certificates off for the call and a
+        # clean one keeps them on; either way the decisions are the kernel's
+        rng = make_stream(41, len(kind))
+        n = _CERT_PROBE + _PSK_BLOCK + 7
+        noisy = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        clean = np.exp(-2j * math.pi * rng.integers(0, 4, size=n) / 4) * 40.0
+        cfg = DecoderConfig(kind=kind, epsilons=(0.05,))
+        for head in (noisy, np.broadcast_to(clean, (2, n))):
+            z0 = np.concatenate([head[0, :_CERT_PROBE], clean[_CERT_PROBE:]])
+            zr = np.concatenate([head[1:, :_CERT_PROBE], clean[None, _CERT_PROBE:]], axis=1)
+            y_sd, y_rd = product_frames(z0, zr)
+            args = (y_sd, y_rd, 1.0, (1.0,), QPSK, cfg)
+            got, got_fb = decode_psk_frames(*args)
+            expect, expect_fb = kernel_decode(monkeypatch, *args)
+            np.testing.assert_array_equal(got, expect)
+            assert got_fb == expect_fb
+
+    def test_vanishing_relay_error_points_match_kernel(self, monkeypatch):
+        # sr_infinite with sr_eps 'vanishing' gives the decoders epsilon 0, T = inf
+        plan = ExperimentPlan(QPSK, DecoderConfig("ml"), (6.0, 20.0), n_relays=2,
+                              tying="sr_infinite", sr_eps="vanishing", frame_len=16,
+                              trials=TrialsPolicy(50, 16_384), seed=9)
+        with_certificates = [run_point(plan, i) for i in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(decoders, "_certify", certify_nothing)
+            kernel_only = [run_point(plan, i) for i in range(2)]
+        assert with_certificates == kernel_only
+
+
+class TestOneRelayRule:
+    """With one relay the tournament names its candidate by the exact rule."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 2.0, math.inf, -0.5])
+    @pytest.mark.parametrize("m", [2, 4, 16, 32])
+    def test_matches_all_pairs_rule_and_sweep(self, m, threshold):
+        # small integer statistics: exact ties everywhere, and candidates
+        # whose base sits exactly at max base - T, the edge of the rule's set
+        rng = make_stream(42, m, int(10 * threshold) + 10 if math.isfinite(threshold) else 99)
+        n = 3000
+        base = rng.integers(-3, 4, size=(n, m)).astype(float)
+        rels = rng.integers(-4, 5, size=(n, 1, m)).astype(float)
+        if math.isfinite(threshold):
+            edge = rng.random(n) < 0.3
+            cols = rng.integers(0, m, size=n)
+            base[edge, cols[edge]] = base[edge].max(axis=-1) - threshold
+        got = pairwise_select(base, rels, (threshold,))
+        expect = pairwise_select_bruteforce(base, rels, (threshold,))
+        np.testing.assert_array_equal(got[0], expect[0])
+        assert got[1] == expect[1]
+        thr = np.array([[threshold]])
+        swept = _sweep(np.ascontiguousarray(base.T), np.ascontiguousarray(rels.T), thr)
+        np.testing.assert_array_equal(got[0], swept[0])
+        assert got[1] == swept[1]
+
+    @pytest.mark.parametrize("m", [4, 16, 32])
+    def test_sweeps_only_instances_without_a_winner(self, monkeypatch, m):
+        # the rule names every unanimous winner, so the sequential sweep
+        # sees exactly the instances that end in the fallback
+        swept = []
+
+        def recording_sweep(base, rels, thr):
+            swept.append(base.shape[1])
+            return _sweep(base, rels, thr)
+
+        monkeypatch.setattr(decoders, "_sweep", recording_sweep)
+        rng = make_stream(44, m)
+        base = rng.normal(scale=2.0, size=(5000, m))
+        rels = rng.normal(scale=3.0, size=(5000, 1, m))
+        _, n_fallback = pairwise_select(base, rels, (1.5,))
+        assert 0 < n_fallback == sum(swept)
+
+
+class TestFallbackChunks:
+    @pytest.mark.parametrize("n", [_FALLBACK_CHUNK - 1, _FALLBACK_CHUNK, _FALLBACK_CHUNK + 1,
+                                   2 * _FALLBACK_CHUNK, 2 * _FALLBACK_CHUNK + 1])
+    def test_counts_straddling_a_chunk(self, n):
+        # three relays ranking three candidates cyclically: every instance
+        # lacks a unanimous winner, so all n take the fallback
+        rng = make_stream(43, n)
+        cyclic = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
+        rels = cyclic + rng.uniform(-0.05, 0.05, size=(n, 3, 3))
+        base = rng.uniform(-0.05, 0.05, size=(n, 3))
+        got = pairwise_select(base, rels, (1.5, 1.5, 1.5))
+        expect = pairwise_select_bruteforce(base, rels, (1.5, 1.5, 1.5))
+        assert got[1] == expect[1] == n
+        np.testing.assert_array_equal(got[0], expect[0])
 
 
 def traced_peak_bytes(fn):

@@ -341,6 +341,21 @@ class TestRunPoint:
         pt = run_point(plan, 0)
         assert pt.fallbacks > 0
 
+    def test_stop_reason_and_rounds(self):
+        # one round of 8 x 8192 symbols reaches 10 errors at 0 dB; at 30 dB
+        # the budget of two rounds and one frame runs out first, and its
+        # last round holds that one frame
+        eps = (0.02,)
+        plan = ExperimentPlan(QPSK, DecoderConfig("pl", eps), (0.0, 30.0), frame_len=64,
+                              trials=TrialsPolicy(10, 2 * 65_536 + 64), seed=2)
+        low, high = run_point(plan, 0), run_point(plan, 1)
+        assert (low.stop_reason, low.rounds, low.trials) == ("min_errors", 1, 65_536)
+        assert low.errors >= 10
+        assert (high.stop_reason, high.rounds, high.trials) == ("max_trials", 3, 2 * 65_536 + 64)
+        assert high.errors < 10
+        failed = run_point(ExperimentPlan(QPSK, DecoderConfig("pl"), (10.0,)), 0)
+        assert (failed.stop_reason, failed.rounds) == (None, 0)
+
     def test_respects_max_trials(self):
         plan = ExperimentPlan(
             QPSK, DecoderConfig("pl", epsilons=(0.02,)), (30.0,),
