@@ -25,13 +25,13 @@ of _FALLBACK_CHUNK instances.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
-scored _PSK_BLOCK pairs at a time.  QAM frames run the per-symbol loop over
-the direct link; every _QAM_BLOCK symbols it scores and mixes the relay
-links of the next block over (R, B, K, M), so each step keeps only the
-direct link's score, the combination and the decision.  B may be a worker's
-whole share of a round, so the loop's overhead is paid once per share.
-Blocking changes no element's arithmetic, so every decision is the same for
-any block size.
+scored _PSK_BLOCK pairs at a time.  QAM frames run one loop over symbols
+that advances every chain together: each step scores the relay links once,
+(R, B, M), takes the destination's estimate of each relay's decision from
+those scores, and combines them with the direct link's, so the working set
+is one step's scores.  B may be a worker's whole share of a round, so the
+loop's overhead is paid once per share.  Blocking changes no element's
+arithmetic, so every decision is the same for any block size.
 
 Certificates.  Most PSK decisions are proved without the M-wide kernel.
 With a = Re(z0 x)/sigma0^2 the direct link's statistics and b_r relay r's,
@@ -72,15 +72,14 @@ import numpy as np
 
 from .channel import make_stream
 from .constellation import ConstellationSpec, make_psk
-from .relay import demod_qam_frame, qam_objective
+from .relay import qam_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
-# Sample pairs scored at once by the PSK decoders, and symbols per block of
-# QAM relay-link scores.  Measured on the benchmark's psk-4/16/32 and qam-16
-# points: smaller PSK blocks cost time per point, larger ones memory.
+# Sample pairs scored at once by the PSK decoders.  Measured on the
+# benchmark's psk-4/16/32 points: smaller blocks cost time per point, larger
+# ones memory.
 _PSK_BLOCK = 4096
-_QAM_BLOCK = 4
 # Certificates: pairs in a call's leading probe, the share of it that must
 # certify for the rest of the call to be certified, and the relative and
 # absolute slack on a margin, which is also the phase kept clear of a sector
@@ -154,7 +153,11 @@ def _mixture_log_scores(scores, eps):
     scores = np.asarray(scores, dtype=float)
     if eps == 0.0:
         return scores
-    mx = scores.max(axis=-1, keepdims=True)
+    # a columnwise maximum is exact and much faster than a reduction over the
+    # short candidate axis
+    mx = scores[..., :1].copy()
+    for k in range(1, scores.shape[-1]):
+        np.maximum(mx, scores[..., k:k + 1], out=mx)
     e = np.exp(scores - mx)
     mix = e.sum(axis=-1, keepdims=True) - e
     mix *= eps / (scores.shape[-1] - 1)
@@ -397,10 +400,12 @@ def decode_qam_frames(
     (B, L) and (R, B, L) index arrays.  Returns (indices of shape (B, L),
     pairwise-fallback count).
 
-    The destination's estimate of a relay's chain depends only on that
-    relay's samples, so it runs first, for all relays at once, and fixes
-    every relay-link score before the direct link's decision-directed loop;
-    the loop scores the relay links _QAM_BLOCK symbols at a time.
+    One loop over symbols advances every chain.  Each step scores the relay
+    links once, (R, B, M); for decision-directed kinds the argmin of those
+    scores is the destination's estimate of each relay's decision, which
+    gives the relay links' next rows exactly as ``relay.demod_qam_frame``
+    run on y_rd would.  The negated scores are then combined with the direct
+    link's to decide the symbol.
     """
     _check_qam(spec)
     y_sd = np.asarray(y_sd)
@@ -413,35 +418,26 @@ def decode_qam_frames(
         raise ValueError("genie_reference decoding requires the true indices")
     n_batch, n_data = y_sd.shape[0], y_sd.shape[1] - 1
     rd_nv = np.reshape(np.asarray(rd_noise_vars, dtype=float), (n_rel, 1))
-    relay_idx = true_relay_idx if genie else demod_qam_frame(y_rd, spec, rd_nv)
-    relay_rows = np.zeros((n_rel, n_batch, n_data), dtype=np.int64)
-    np.add(relay_idx[..., :-1], 1, out=relay_rows[..., 1:])
     pl = cfg.kind == "pl"
     thresholds = cfg.resolved_thresholds(spec.M)
     epsilons = cfg.effective_epsilons()
     decisions = np.empty((n_batch, n_data), dtype=np.int64)
     row = np.zeros(n_batch, dtype=np.int64)
+    relay_row = np.zeros((n_rel, n_batch), dtype=np.int64)
     n_fallback = 0
     for n in range(n_data):
-        k = n % _QAM_BLOCK
-        if k == 0:
-            # relay-link scores of the next block of symbols, (R, B, K, M)
-            stop = min(n + _QAM_BLOCK, n_data)
-            rels = qam_objective(y_rd[..., n:stop], y_rd[..., n + 1:stop + 1],
-                                 rd_nv[..., None], spec, relay_rows[..., n:stop])
-            np.negative(rels, out=rels)
-            if pl:
-                rels = np.ascontiguousarray(rels.transpose(2, 3, 0, 1))  # (K, M, R, B)
-            else:
-                mixtures = [_mixture_log_scores(sc, eps) for sc, eps in zip(rels, epsilons)]
+        rels = qam_objective(y_rd[..., n], y_rd[..., n + 1], rd_nv, spec, relay_row)
+        relay_row = (true_relay_idx[..., n] if genie else np.argmin(rels, axis=-1)) + 1
+        np.negative(rels, out=rels)
         base = qam_objective(y_sd[:, n], y_sd[:, n + 1], sd_noise_var, spec, row)
         np.negative(base, out=base)
         if pl:
-            decisions[:, n], nf = _tournament(base.T, rels[k], thresholds)
+            decisions[:, n], nf = _tournament(
+                base.T, np.ascontiguousarray(rels.transpose(2, 0, 1)), thresholds)
             n_fallback += nf
         else:
-            for mix in mixtures:
-                base += mix[:, k]
+            for sc, eps in zip(rels, epsilons):
+                base += _mixture_log_scores(sc, eps)
             decisions[:, n] = np.argmax(base, axis=-1)
         row = (true_source_idx[:, n] if genie else decisions[:, n]) + 1
     return decisions, n_fallback

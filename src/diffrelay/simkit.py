@@ -158,8 +158,10 @@ class SerPoint:
     """One SER estimate: counts, rate, Wilson 95% interval, diagnostics.
 
     ``stop_reason`` says which half of the stopping rule ended the point,
-    ``"min_errors"`` or ``"max_trials"`` (None for a failed point), and
-    ``rounds`` counts its simulation rounds.
+    ``"min_errors"`` or ``"max_trials"`` (None for a failed point),
+    ``rounds`` counts its simulation rounds, and ``deff`` is the design
+    effect of its frame clusters: the interval is the Wilson interval at
+    ``trials / deff`` effective trials.
     """
 
     snr_db: float
@@ -172,6 +174,7 @@ class SerPoint:
     failure: str | None = None
     stop_reason: str | None = None
     rounds: int = 0
+    deff: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -229,22 +232,21 @@ def wilson_interval(errors: int, trials: int, n_eff: float | None = None) -> tup
     return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
-def _effective_trials(trials: int, n_frames: int, sum_err: int, sum_sq: int) -> float:
-    """Effective sample size under within-frame error correlation.
+def _design_effect(trials: int, n_frames: int, sum_err: int, sum_sq: int) -> float:
+    """Design effect of the frame clusters under within-frame error correlation.
 
-    Scales the symbol count down by the measured design effect of the frame
-    clusters (never up: underdispersion is ignored for a conservative
-    interval).
+    The effective sample size is the symbol count divided by it.  It is
+    floored at 1 (underdispersion is ignored for a conservative interval),
+    and is 1 where it cannot be measured.
     """
     if sum_err == 0 or n_frames < 2:
-        return float(trials)
+        return 1.0
     p = sum_err / trials
     cluster_var = sum_sq - sum_err * sum_err / n_frames
     binom_var = sum_err * (1.0 - p)
     if binom_var <= 0.0 or cluster_var <= 0.0:
-        return float(trials)
-    deff = max(cluster_var / binom_var, 1.0)
-    return trials / deff
+        return 1.0
+    return max(cluster_var / binom_var, 1.0)
 
 
 def resolve_epsilons(plan: ExperimentPlan, index: int) -> tuple[float, ...]:
@@ -402,11 +404,11 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                 errors += err
                 sum_sq += sq
                 fallbacks += fb
-    n_eff = _effective_trials(trials, n_frames, errors, sum_sq)
-    lo, hi = wilson_interval(errors, trials, n_eff)
+    deff = _design_effect(trials, n_frames, errors, sum_sq)
+    lo, hi = wilson_interval(errors, trials, trials / deff)
     stop = "min_errors" if errors >= plan.trials.min_errors else "max_trials"
     return SerPoint(snr_db, errors, trials, errors / trials, lo, hi, fallbacks,
-                    stop_reason=stop, rounds=rounds)
+                    stop_reason=stop, rounds=rounds, deff=deff)
 
 
 def run_sweep(plan: ExperimentPlan, workers: int = 1) -> SerCurve:

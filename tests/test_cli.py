@@ -505,7 +505,7 @@ class TestSweepCommand:
         assert curve["points_ok"] == 2
         rows = [r for r in read_rows(str(tmp / "run.csv")) if r["source"] == "mc"]
         assert [sorted(p) for p in curve["points"]] == [
-            ["errors", "fallbacks", "rounds", "snr_db", "stop_reason", "trials"]] * 2
+            ["deff", "errors", "fallbacks", "rounds", "snr_db", "stop_reason", "trials"]] * 2
         assert [(p["snr_db"], p["errors"], p["trials"]) for p in curve["points"]] == [
             (r["snr_db"], r["errors"], r["trials"]) for r in rows]
         assert all(isinstance(p["fallbacks"], int) and p["fallbacks"] >= 0

@@ -24,7 +24,6 @@ from diffrelay.decoders import (
     _CERT_PROBE,
     _FALLBACK_CHUNK,
     _PSK_BLOCK,
-    _QAM_BLOCK,
     DecoderConfig,
     _certify,
     _counted_ml_decode,
@@ -176,6 +175,32 @@ class TestMixture:
         out = _mixture_log_scores(scores, 1e-2)
         assert np.all(np.isfinite(out))
         assert np.argmax(out) == 0
+
+    @pytest.mark.parametrize("m", [2, 4, 16, 32])
+    @pytest.mark.parametrize("lead", [(37,), (3, 29)])
+    def test_matches_reduction_max_bit_for_bit(self, m, lead):
+        # the columnwise maximum must give exactly the old max-over-axis
+        # formula, exact ties and scores near +-700 included
+        def reference(scores, eps):
+            mx = scores.max(axis=-1, keepdims=True)
+            e = np.exp(scores - mx)
+            mix = e.sum(axis=-1, keepdims=True) - e
+            mix *= eps / (scores.shape[-1] - 1)
+            mix += (1.0 - eps) * e
+            return np.log(mix) + mx
+
+        rng = make_stream(41, m, len(lead))
+        scores = rng.normal(scale=5.0, size=lead + (m,))
+        flat = scores.reshape(-1, m)
+        flat[::3] = np.round(flat[::3])  # ties between candidates
+        flat[1::5, :] = flat[1::5, :1]  # every candidate tied
+        flat[2::7] += rng.choice([-700.0, 700.0], size=(flat[2::7].shape[0], 1))
+        flat[4::9, -1] = 699.5
+        for eps in (1e-6, 0.05, 0.5):
+            got = _mixture_log_scores(scores, eps)
+            expect = reference(scores, eps)
+            assert got.shape == scores.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestMlPsk:
@@ -588,7 +613,7 @@ class TestKernelOracles:
             mags = dict(true_source_mags=np.abs(QAM16.points[idx]),
                         true_relay_mags=np.abs(QAM16.points[relay_decisions]))
         expect, expect_fb = decode_qam_frames_per_symbol(
-            y_sd, y_rd, nv, rd_nvs, QAM16, kind, epsilons,
+            y_sd, y_rd, nv, rd_nvs, QAM16, kind, cfg.effective_epsilons(),
             cfg.resolved_thresholds(16), **mags,
         )
         np.testing.assert_array_equal(got, expect)
@@ -599,12 +624,13 @@ class TestKernelOracles:
     def test_qam_frames_match_per_symbol_oracle(self, kind, n_rel):
         self.check_qam_frames_against_oracle(kind, n_rel)
 
-    @pytest.mark.parametrize("kind", ["ml", "pl", "genie_reference"])
-    def test_qam_frames_off_block_boundary(self, kind):
-        # the relay-link scores come in blocks of _QAM_BLOCK symbols; a frame
-        # that ends inside a block must still match the per-symbol oracle
-        for n_data in (_QAM_BLOCK - 1, 3 * _QAM_BLOCK + 1):
-            self.check_qam_frames_against_oracle(kind, 3, n_data=n_data)
+    @pytest.mark.parametrize("n_data", [1, 3, 13])
+    @pytest.mark.parametrize("n_rel", [1, 3])
+    @pytest.mark.parametrize("kind", ["ml", "pl", "naive_eps0", "genie_reference"])
+    def test_qam_frames_any_length(self, kind, n_rel, n_data):
+        # the relay chains advance inside the decision loop, so a frame of
+        # any length, one symbol included, must match the oracle
+        self.check_qam_frames_against_oracle(kind, n_rel, n_data=n_data)
 
     @pytest.mark.parametrize("m", [4, 16, 32])
     def test_pairwise_select_mostly_fallback(self, m):

@@ -30,7 +30,7 @@ from diffrelay.simkit import (
     SerCurve,
     SerPoint,
     TrialsPolicy,
-    _effective_trials,
+    _design_effect,
     _simulate_batch,
     compare_curves,
     resolve_epsilons,
@@ -244,12 +244,12 @@ class TestWilsonInterval:
 
     def test_effective_trials_concentrated_frames(self):
         # frames of 64 symbols with errors (4, 0, 0, 0)
-        n_eff = _effective_trials(256, 4, 4, 16)
+        n_eff = 256 / _design_effect(256, 4, 4, 16)
         assert n_eff == pytest.approx(256 / (12.0 / 3.9375))
 
     def test_effective_trials_degenerate(self):
-        assert _effective_trials(256, 4, 0, 0) == 256.0
-        assert _effective_trials(64, 1, 5, 25) == 64.0
+        assert _design_effect(256, 4, 0, 0) == 1.0
+        assert _design_effect(64, 1, 5, 25) == 1.0
 
 
 class TestResolveEpsilons:
@@ -308,6 +308,21 @@ class TestRunPoint:
         assert pt.ci_low == 0.0
         assert pt.fallbacks == 0
         assert 0 < pt.trials <= 10_000
+
+    def test_design_effect_gives_the_interval(self):
+        # block fading clusters errors within frames, so the design effect
+        # exceeds 1; trials / deff reproduces the point's Wilson interval
+        plan = ExperimentPlan(
+            QPSK, DecoderConfig("pl", epsilons=(0.02,)), (6.0,),
+            trials=TrialsPolicy(200, 20_000), seed=4,
+        )
+        pt = run_point(plan, 0)
+        assert pt.errors > 0
+        assert pt.deff > 1.0
+        assert (pt.ci_low, pt.ci_high) == wilson_interval(pt.errors, pt.trials,
+                                                          pt.trials / pt.deff)
+        quiet = run_point(replace(plan, zero_noise=True), 0)
+        assert quiet.errors == 0 and quiet.deff == 1.0
 
     def test_index_out_of_range(self):
         plan = ExperimentPlan(QPSK, DecoderConfig("naive_eps0"), (10.0,))
