@@ -509,7 +509,7 @@ def cmd_sweep(config, workers=1):
             "points": [
                 {"snr_db": p.snr_db, "errors": p.errors, "trials": p.trials,
                  "fallbacks": p.fallbacks, "stop_reason": p.stop_reason,
-                 "rounds": p.rounds, "deff": p.deff}
+                 "rounds": p.rounds, "deff": p.deff, "wall_s": p.wall_s}
                 for p in curve.points if p.failure is None
             ],
             "failures": [

@@ -31,7 +31,16 @@ that advances every chain together: each step scores the relay links once,
 those scores, and combines them with the direct link's, so the working set
 is one step's scores.  B may be a worker's whole share of a round, so the
 loop's overhead is paid once per share.  Blocking changes no element's
-arithmetic, so every decision is the same for any block size.
+arithmetic, so every decision is the same for any block size.  The kernels
+write their (M, n), (M, R, n) and (chunk, M, M) arrays with out= into one
+workspace per thread (_Workspace): a flat array per role that grows to the
+largest block it has served and is handed out as views, so a warmed thread
+decodes a batch without block-sized allocations, which the allocator would
+return to the operating system and fault in again every batch.  The
+workspace holds one block's arrays (one symbol step's, for QAM) per thread
+and is freed with the thread; run_point's pool threads build theirs once
+per point.  Every element keeps its arithmetic and operand order, so no
+decision moves.
 
 Certificates.  Most PSK decisions are proved without the M-wide kernel.
 With a = Re(z0 x)/sigma0^2 the direct link's statistics and b_r relay r's,
@@ -66,6 +75,7 @@ through the sequential sweep, so rounding cannot change a decision.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +101,32 @@ _CERT_MIN_SHARE = 0.5
 _CERT_SLACK = 1e-9
 # Instances per chunk of the tournament's (chunk, M, M) fallback statistics.
 _FALLBACK_CHUNK = 64
+_NEG_INF_BITS = np.float64(-np.inf).view(np.int64)
+
+
+class _Workspace(threading.local):
+    """One thread's scratch arrays for the decoding kernels, one per role.
+
+    Each role's flat array grows to the largest request it has served and is
+    handed out as a C-contiguous view.  A role belongs to one kernel, and
+    nothing handed out outlives the call that asked for it, except the
+    ``mix`` view ``_mixture_log_scores`` returns to be summed at once.  The
+    ML and PL branches of ``decode_psk_frames`` share ``relays``, which
+    holds one relay's statistics for ML and all relays' for PL.
+    """
+
+    def __init__(self):
+        self.flat = {}
+
+    def take(self, role, shape, dtype=float):
+        size = math.prod(shape)
+        flat = self.flat.get(role)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self.flat[role] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -128,18 +164,21 @@ def clip_threshold(m: int, eps: float) -> float:
 
 def _pair_products(y):
     """conj(y[n+1]) y[n] over the sample pairs of frames y (..., L+1)."""
-    return np.conj(y[..., 1:]) * y[..., :-1]
+    z = np.conj(y[..., 1:])
+    return np.multiply(z, y[..., :-1], out=z)
 
 
-def _psk_statistics(z, points, noise_var):
-    """Per-candidate correlation statistics of the pair products z.
+def _psk_statistics(z, points, noise_var, out):
+    """Per-candidate correlation statistics of the pair products z (n,).
 
-    The result has shape z.shape + (M,), or (M, n) for n products when points
-    is a column (candidate-major).
+    Writes Re(z x_k) / noise_var into out, (n, M), or (M, n) when points is
+    a column (candidate-major), and returns it.  The product keeps the order
+    z * x: numpy's complex multiply may fuse, so x * z can differ in the
+    last bit.
     """
-    if points.ndim == 1:
-        return np.real(z[..., None] * points) / noise_var
-    return np.real(z * points) / noise_var
+    prod = _WORKSPACE.take("products", out.shape, complex)
+    np.multiply(z if points.ndim > 1 else z[:, None], points, out=prod)
+    return np.divide(prod.real, noise_var, out=out)
 
 
 def _mixture_log_scores(scores, eps):
@@ -148,7 +187,8 @@ def _mixture_log_scores(scores, eps):
     scores has candidates on the last axis; entry k of the result is the log
     of (1-eps) exp(scores[k]) + eps/(M-1) sum over i != k of exp(scores[i]),
     evaluated as mx + log((1-eps) e_k + w (S - e_k)) with mx the largest
-    score, e = exp(scores - mx) and S the sum of e.
+    score, e = exp(scores - mx) and S the sum of e.  With eps > 0 the result
+    is the thread's ``mix`` workspace, valid until the next call.
     """
     scores = np.asarray(scores, dtype=float)
     if eps == 0.0:
@@ -158,21 +198,23 @@ def _mixture_log_scores(scores, eps):
     mx = scores[..., :1].copy()
     for k in range(1, scores.shape[-1]):
         np.maximum(mx, scores[..., k:k + 1], out=mx)
-    e = np.exp(scores - mx)
-    mix = e.sum(axis=-1, keepdims=True) - e
+    e = np.subtract(scores, mx, out=_WORKSPACE.take("mix_exp", scores.shape))
+    np.exp(e, out=e)
+    mix = np.subtract(e.sum(axis=-1, keepdims=True), e,
+                      out=_WORKSPACE.take("mix", scores.shape))
     mix *= eps / (scores.shape[-1] - 1)
-    mix += (1.0 - eps) * e
+    e *= 1.0 - eps
+    mix += e
     np.log(mix, out=mix)
     mix += mx
     return mix
 
 
-def _ml_objective(base, rels, epsilons):
-    """base (..., M) plus the mixture log-scores of relay-major rels (R, ..., M)."""
-    obj = np.array(base, dtype=float)
-    for scores, eps in zip(rels, epsilons):
-        obj += _mixture_log_scores(scores, eps)
-    return obj
+def _gather(role, a, idx):
+    """a[..., idx], written into the thread's workspace for role."""
+    out = _WORKSPACE.take(role, a.shape[:-1] + (idx.size,))
+    # mode="clip" lets take write into out unbuffered; every index is in range
+    return np.take(a, idx, axis=-1, mode="clip", out=out)
 
 
 def _unanimous(cb, cr, base, rels, thr):
@@ -180,10 +222,21 @@ def _unanimous(cb, cr, base, rels, thr):
 
     cb (n,) and cr (R, n) are the candidates' own base and relay values.
     """
-    lam = cb - base
-    lam += np.clip(cr - rels, -thr, thr).sum(axis=1)
+    lam = np.subtract(cb, base, out=_WORKSPACE.take("lam", base.shape))
+    total = _WORKSPACE.take("relay_sum", base.shape)
+    # the clipped relay terms are summed in relay order, as a sum over the
+    # relay axis adds them, and then added to lam
+    for r, t in enumerate(thr):
+        out = _WORKSPACE.take("relay_term", base.shape) if r else total
+        np.subtract(cr[r], rels[:, r], out=out)
+        np.clip(out, -t, t, out=out)
+        if r:
+            total += out
+    if len(thr):
+        lam += total
     # a candidate's statistic against itself is exactly 0, never positive
-    return np.count_nonzero(lam > 0.0, axis=0) == base.shape[0] - 1
+    wins = np.greater(lam, 0.0, out=_WORKSPACE.take("wins", base.shape, bool))
+    return np.count_nonzero(wins, axis=0) == base.shape[0] - 1
 
 
 def _tournament(base, rels, thresholds):
@@ -204,19 +257,32 @@ def _tournament(base, rels, thresholds):
     # lam(k, q) > 0 iff a_k - a_q > -T and (a_k - a_q > T or c_k > c_q), with
     # a = base and c = base + rel, so a unanimous winner is the argmax of c
     # over {q : a_q > max a - T}
-    m = base.shape[0]
-    c = base + rels[:, 0]
-    c[~(base > base.max(axis=0) - thr[0])] = -np.inf
+    m, n = base.shape
+    mask = np.greater(base, base.max(axis=0) - thr[0],
+                      out=_WORKSPACE.take("mask", (m, n), bool))
+    # c starts as 0 where mask holds and -inf elsewhere, written as bits: a
+    # masked write branches on every element, and at low SNR the branch is a
+    # coin flip.  The statistics are finite, so 0 + a + b compares as a + b
+    c = _WORKSPACE.take("cand", (m, n))
+    bits = np.subtract(mask, 1, dtype=np.int64, out=c.view(np.int64))
+    np.bitwise_and(bits, _NEG_INF_BITS, out=bits)
+    c += base
+    c += rels[:, 0]
     # the first row holding the column's largest c; reductions down the
-    # candidate axis are fast, an argmax over it is not
-    champ = np.where(c < c.max(axis=0), m - 1, np.arange(m)[:, None]).min(axis=0)
+    # candidate axis are fast, an argmax over it is not.  The row numbers
+    # overwrite c, exact as floats
+    np.less(c, c.max(axis=0), out=mask)
+    c[...] = np.arange(m)[:, None]
+    np.copyto(c, m - 1, where=mask)
+    champ = c.min(axis=0).astype(np.int64)
     at = champ[None, None, :]
     ok = _unanimous(np.take_along_axis(base, at[0], axis=0)[0],
                     np.take_along_axis(rels, at, axis=0)[0], base, rels, thr)
     left = np.flatnonzero(~ok)
     if not left.size:
         return champ, 0
-    champ[left], n_fallback = _sweep(base[:, left], rels[:, :, left], thr)
+    champ[left], n_fallback = _sweep(_gather("left_base", base, left),
+                                     _gather("left_rels", rels, left), thr)
     return champ, n_fallback
 
 
@@ -240,7 +306,8 @@ def _sweep(base, rels, thr):
         np.copyto(cr, rels[q], where=lose)
     bad = np.flatnonzero(~_unanimous(cb, cr, base, rels, thr))
     if bad.size:
-        champ[bad] = _fallback(base[:, bad], rels[:, :, bad], thr[:, 0])
+        champ[bad] = _fallback(_gather("bad_base", base, bad),
+                               _gather("bad_rels", rels, bad), thr[:, 0])
     return champ, int(bad.size)
 
 
@@ -249,18 +316,23 @@ def _fallback(base, rels, thresholds):
 
     lam[b, k, q] = sum over r of clip(r_k - r_q), summed in relay order, plus
     (base_k - base_q).  It is built _FALLBACK_CHUNK instances at a time, the
-    first term written in place, so its arrays stay small.
+    first term written in place, so its arrays stay small.  The terms are
+    copied instance-major first, so each table is built from contiguous rows.
     """
     m, n = base.shape
-    terms = [(rels[:, r], t) for r, t in enumerate(thresholds)] + [(base, None)]
-    lam = np.empty((min(n, _FALLBACK_CHUNK), m, m))
-    diff = np.empty_like(lam)
+    rows = _WORKSPACE.take("fallback_rows", (len(thresholds) + 1, n, m))
+    rows[:-1] = rels.transpose(1, 2, 0)
+    rows[-1] = base.T
+    terms = [*zip(rows, thresholds), (rows[-1], None)]
+    shape = (min(n, _FALLBACK_CHUNK), m, m)
+    lam = _WORKSPACE.take("fallback_sum", shape)
+    diff = _WORKSPACE.take("fallback_term", shape)
     winners = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _FALLBACK_CHUNK):
         hi = min(lo + _FALLBACK_CHUNK, n)
         acc, tmp = lam[:hi - lo], diff[:hi - lo]
         for i, (vals, t) in enumerate(terms):
-            v = vals[:, lo:hi].T
+            v = vals[lo:hi]
             out = tmp if i else acc
             np.subtract(v[:, :, None], v[:, None, :], out=out)
             if t is not None:
@@ -347,16 +419,19 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     n_fallback = 0
     for lo in range(0, rest.size, _PSK_BLOCK):
         blk = rest[lo:lo + _PSK_BLOCK]
-        t0 = _psk_statistics(z0[blk], points, sd_noise_var)
+        shape = (spec.M, blk.size) if pl else (blk.size, spec.M)
+        base = _psk_statistics(z0[blk], points, sd_noise_var, _WORKSPACE.take("base", shape))
         if pl:
-            rels = np.empty((spec.M, n_rel, t0.shape[1]))
+            rels = _WORKSPACE.take("relays", (spec.M, n_rel, blk.size))
             for r, nv in enumerate(rd_noise_vars):
-                rels[:, r] = _psk_statistics(zr[r, blk], points, nv)
-            decisions[blk], nf = _tournament(t0, rels, thresholds)
+                _psk_statistics(zr[r, blk], points, nv, rels[:, r])
+            decisions[blk], nf = _tournament(base, rels, thresholds)
             n_fallback += nf
         else:
-            rels = [_psk_statistics(z[blk], points, nv) for z, nv in zip(zr, rd_noise_vars)]
-            decisions[blk] = np.argmax(_ml_objective(t0, rels, epsilons), axis=-1)
+            rel = _WORKSPACE.take("relays", shape)
+            for z, nv, eps in zip(zr, rd_noise_vars, epsilons):
+                base += _mixture_log_scores(_psk_statistics(z[blk], points, nv, rel), eps)
+            decisions[blk] = np.argmax(base, axis=-1)
     return decisions.reshape(y_sd.shape[:-1] + (-1,)), n_fallback
 
 

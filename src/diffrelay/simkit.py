@@ -161,7 +161,9 @@ class SerPoint:
     ``"min_errors"`` or ``"max_trials"`` (None for a failed point),
     ``rounds`` counts its simulation rounds, and ``deff`` is the design
     effect of its frame clusters: the interval is the Wilson interval at
-    ``trials / deff`` effective trials.
+    ``trials / deff`` effective trials.  ``wall_s`` is the seconds
+    ``run_point`` took; it is left out of equality, so two results compare
+    by their numbers alone.
     """
 
     snr_db: float
@@ -175,6 +177,7 @@ class SerPoint:
     stop_reason: str | None = None
     rounds: int = 0
     deff: float = 1.0
+    wall_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -360,11 +363,13 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     """
     if not 0 <= index < len(plan.snr_grid_db):
         raise ValueError(f"grid index {index} outside 0..{len(plan.snr_grid_db) - 1}")
+    start = time.perf_counter()
     snr_db = plan.snr_grid_db[index]
     try:
         eps = resolve_epsilons(plan, index)
     except ValueError as exc:
-        return SerPoint(snr_db, 0, 0, math.nan, math.nan, math.nan, failure=str(exc))
+        return SerPoint(snr_db, 0, 0, math.nan, math.nan, math.nan, failure=str(exc),
+                        wall_s=time.perf_counter() - start)
     decoder_cfg = replace(plan.decoder, epsilons=eps)
 
     length = plan.frame_len
@@ -408,7 +413,8 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     lo, hi = wilson_interval(errors, trials, trials / deff)
     stop = "min_errors" if errors >= plan.trials.min_errors else "max_trials"
     return SerPoint(snr_db, errors, trials, errors / trials, lo, hi, fallbacks,
-                    stop_reason=stop, rounds=rounds, deff=deff)
+                    stop_reason=stop, rounds=rounds, deff=deff,
+                    wall_s=time.perf_counter() - start)
 
 
 def run_sweep(plan: ExperimentPlan, workers: int = 1) -> SerCurve:

@@ -505,7 +505,9 @@ class TestSweepCommand:
         assert curve["points_ok"] == 2
         rows = [r for r in read_rows(str(tmp / "run.csv")) if r["source"] == "mc"]
         assert [sorted(p) for p in curve["points"]] == [
-            ["deff", "errors", "fallbacks", "rounds", "snr_db", "stop_reason", "trials"]] * 2
+            ["deff", "errors", "fallbacks", "rounds", "snr_db", "stop_reason", "trials",
+             "wall_s"]] * 2
+        assert all(p["wall_s"] > 0.0 for p in curve["points"])
         assert [(p["snr_db"], p["errors"], p["trials"]) for p in curve["points"]] == [
             (r["snr_db"], r["errors"], r["trials"]) for r in rows]
         assert all(isinstance(p["fallbacks"], int) and p["fallbacks"] >= 0

@@ -1,7 +1,9 @@
 """Tests for the destination ML and piecewise-linear decoders."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -653,15 +655,15 @@ class TestKernelOracles:
         assert 0.7 * n < got[1] < n
 
 
-def psk16_frames(rng, n_frames, frame_len, n_rel, snr_db=0.0):
-    """psk-16 frames through decode-and-forward relays, all links at snr_db.
+def psk_frames(rng, n_frames, frame_len, n_rel, snr_db=0.0, m=16):
+    """psk-m frames through decode-and-forward relays, all links at snr_db.
 
     Returns (y_sd (F, L+1), y_rd (R, F, L+1), noise_var, relay epsilon).
     """
-    spec = make_psk(16)
+    spec = make_psk(m)
     noise_var = 10.0 ** (-snr_db / 10.0)
     link = LinkParams(1.0, noise_var)
-    v = encode_psk_frame(rng.integers(0, 16, size=(n_frames, frame_len)), spec)
+    v = encode_psk_frame(rng.integers(0, m, size=(n_frames, frame_len)), spec)
 
     def through(frame):
         return draw_block_gain(link, rng, size=(n_frames, 1)) * frame \
@@ -685,7 +687,7 @@ class TestBlocks:
                                                    frame_len, span):
         assert (n_frames * frame_len) % _PSK_BLOCK != 0
         rng = make_stream(30, n_rel, frame_len)
-        y_sd, y_rd, nv, eps = psk16_frames(rng, n_frames, frame_len, n_rel)
+        y_sd, y_rd, nv, eps = psk_frames(rng, n_frames, frame_len, n_rel)
         spec = make_psk(16)
         cfg = DecoderConfig(kind=kind, epsilons=(eps,) * n_rel)
         rd_nvs = (nv,) * n_rel
@@ -932,19 +934,34 @@ def traced_peak_bytes(fn):
         tracemalloc.stop()
 
 
+def in_fresh_thread(fn):
+    """fn() run in a new thread, which starts with an empty decoder workspace."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=300)
+
+
+def psk_batch(m, kind, n_rel, n_frames, snr_db, frame_len=64):
+    """A decode_psk_frames call on fixed psk-m frames, as a function of no arguments."""
+    rng = make_stream(44, 10 * m + n_rel, 1000 * n_frames + frame_len + int(snr_db))
+    y_sd, y_rd, nv, eps = psk_frames(rng, n_frames, frame_len, n_rel, snr_db, m)
+    cfg = DecoderConfig(kind=kind, epsilons=(eps,) * n_rel)
+    return lambda: decode_psk_frames(y_sd, y_rd, nv, (nv,) * n_rel, make_psk(m), cfg)
+
+
 class TestWorkingSet:
     """The blocked kernels' traced peak allocation stays small and flat."""
 
     def test_psk_decoder_peak_is_bounded(self):
         # psk-16 pl N=3 at 0 dB: about 7.3 MB for one 8192-symbol batch
-        # scored in blocks, 35 MB when the whole batch was scored at once
+        # scored in blocks, its thread's workspace included, 35 MB when the
+        # whole batch was scored at once
         peaks = []
         for n_frames in (128, 256):
             rng = make_stream(31, n_frames)
-            y_sd, y_rd, nv, eps = psk16_frames(rng, n_frames, 64, 3)
+            y_sd, y_rd, nv, eps = psk_frames(rng, n_frames, 64, 3)
             cfg = DecoderConfig(kind="pl", epsilons=(eps,) * 3)
-            peaks.append(traced_peak_bytes(lambda: decode_psk_frames(
-                y_sd, y_rd, nv, (nv,) * 3, make_psk(16), cfg)))
+            peaks.append(in_fresh_thread(lambda: traced_peak_bytes(lambda: decode_psk_frames(
+                y_sd, y_rd, nv, (nv,) * 3, make_psk(16), cfg))))
         assert peaks[0] < 15e6
         assert peaks[1] < 1.5 * peaks[0]  # doubling the batch
 
@@ -952,6 +969,62 @@ class TestWorkingSet:
         # qam-16, 100k trials: about 10.6 MB with the detector run in blocks,
         # 40.5 MB when it scored a whole 65,536-draw chunk at once
         link = LinkParams(1.0, 0.1)
-        peak = traced_peak_bytes(
-            lambda: calibrate_epsilon(link, QAM16, trials=100_000, seed=3))
+        peak = in_fresh_thread(lambda: traced_peak_bytes(
+            lambda: calibrate_epsilon(link, QAM16, trials=100_000, seed=3)))
         assert peak < 20e6
+
+    @pytest.mark.parametrize("m, kind, n_rel", [(32, "pl", 1), (16, "ml", 3), (16, "pl", 3)])
+    def test_warmed_psk_call_allocates_no_blocks(self, m, kind, n_rel):
+        # one 8192-symbol batch at 0 dB, where no pair certifies: 6.8, 5.4
+        # and 6.6 MB traced peak when every block allocated its arrays
+        call = psk_batch(m, kind, n_rel, 128, 0.0)
+
+        def warmed_peak():
+            call()
+            return traced_peak_bytes(call)
+
+        assert in_fresh_thread(warmed_peak) <= 1.5e6
+
+
+class TestWorkspace:
+    """Reusing a thread's workspace carries nothing from one call to the next."""
+
+    # frames of 50 symbols: batches of 1, 64 and 128 frames end their last
+    # block part-way; at 0 dB the probe turns certificates off for psk-16
+    # and psk-32, at 30 dB they are on
+    CALLS = [(m, kind, n_rel, n_frames, snr_db)
+             for m in (4, 16, 32) for kind in ("ml", "pl") for n_rel in (1, 3)
+             for n_frames in (1, 64, 128) for snr_db in (0.0, 30.0)]
+
+    def test_reused_workspace_matches_fresh_threads(self):
+        calls = [psk_batch(*args, frame_len=50) for args in self.CALLS]
+        order = make_stream(45).permutation(len(calls))
+        serial = in_fresh_thread(lambda: [calls[i]() for i in order])
+        for i, (got, got_fb) in zip(order, serial):
+            expect, expect_fb = in_fresh_thread(calls[i])
+            np.testing.assert_array_equal(got, expect, err_msg=str(self.CALLS[i]))
+            assert got_fb == expect_fb, self.CALLS[i]
+
+    def test_concurrent_threads_match_serial(self):
+        # more threads than cores, each decoding its own configs twice, with
+        # the interpreter switching threads as often as it can
+        groups = [[psk_batch(32, "pl", 1, 128, 0.0), psk_batch(4, "ml", 1, 64, 30.0)],
+                  [psk_batch(16, "ml", 3, 64, 0.0), psk_batch(16, "pl", 1, 1, 0.0)],
+                  [psk_batch(16, "pl", 3, 128, 0.0), psk_batch(32, "ml", 1, 64, 30.0)]]
+        serial = [[call() for call in group] for group in groups]
+
+        def run(group):
+            return [call() for _ in range(2) for call in group]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+                futures = [pool.submit(run, group) for group in groups]
+                results = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expect, got in zip(serial, results):
+            for (dec, fb), (want, want_fb) in zip(got, expect * 2):
+                np.testing.assert_array_equal(dec, want)
+                assert fb == want_fb

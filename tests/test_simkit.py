@@ -324,6 +324,15 @@ class TestRunPoint:
         quiet = run_point(replace(plan, zero_noise=True), 0)
         assert quiet.errors == 0 and quiet.deff == 1.0
 
+    def test_wall_time_is_reported_and_not_compared(self):
+        plan = ExperimentPlan(
+            QPSK, DecoderConfig("pl", epsilons=(0.02,)), (6.0,),
+            trials=TrialsPolicy(10, 1_000), seed=4,
+        )
+        pt = run_point(plan, 0)
+        assert pt.wall_s > 0.0
+        assert replace(pt, wall_s=pt.wall_s + 1.0) == pt
+
     def test_index_out_of_range(self):
         plan = ExperimentPlan(QPSK, DecoderConfig("naive_eps0"), (10.0,))
         with pytest.raises(ValueError, match="grid index 1 outside"):
