@@ -135,11 +135,9 @@ def _grid_from(value, where):
 def _spec_from(mapping, where):
     _check_keys(mapping, _CONSTELLATION_KEYS, where)
     kind = mapping.get("kind")
-    m = mapping.get("M")
     if kind not in ("psk", "qam"):
         raise ConfigError(f"{where}.kind must be 'psk' or 'qam', got {kind!r}")
-    if not isinstance(m, int):
-        raise ConfigError(f"{where}.M must be an integer, got {m!r}")
+    m = _integer(mapping.get("M"), f"{where}.M")
     return make_psk(m) if kind == "psk" else make_qam(m)
 
 

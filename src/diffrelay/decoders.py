@@ -18,10 +18,10 @@ so every QAM score is a table lookup (``relay.qam_objective``).
 
 Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
 (R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
-tournament runs candidate-major, (M, n) and (M, R, n), carrying the
-champion's values instead of gathering them.  The tournament's fallback
-sums its clipped relay terms one relay at a time into (chunk, M, M) arrays
-of _FALLBACK_CHUNK instances.
+tournament names and verifies its candidates candidate-major, (M, n) and
+(M, R, n); the sweep carries its champion's values instead of gathering
+them.  The instances that fail verification are resolved from (chunk, M, M)
+tables of _FALLBACK_CHUNK instances, summed one clipped relay term at a time.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
@@ -67,9 +67,10 @@ not certified, since there the certificate costs more than it saves.
 
 One relay.  With N = 1, lam(k, q) > 0 iff a_k - a_q > -T and (a_k - a_q > T
 or c_k > c_q), c = a + b, so the only possible unanimous winner is the
-argmax of c over {q : a_q > max a - T}.  The tournament verifies that
-candidate with its usual M-wide check and sends the instances that fail
-through the sequential sweep, so rounding cannot change a decision.
+argmax of c over {q : a_q > max a - T}; with more relays, or none, the
+sequential sweep names the candidate.  Either is verified once, and the
+instances that fail go to the fallback's tables, which find any unanimous
+winner the candidate's rounding missed, so rounding changes no decision.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import make_stream
-from .constellation import ConstellationSpec, make_psk
+from .constellation import make_psk
 from .relay import qam_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
@@ -243,20 +244,24 @@ def _tournament(base, rels, thresholds):
     """Winner of the pairwise clipped-statistic rule, candidate-major.
 
     base has shape (M, n) and rels (M, R, n).  A candidate wins when its
-    pairwise statistic against every rival is positive; when no unanimous
-    winner exists the candidate with the largest total pairwise statistic is
-    chosen (lowest index on ties).  With one relay the only possible
-    unanimous winner is named by the exact one-relay rule and verified;
-    every other instance goes through the sequential sweep.  Returns
-    (winners of shape (n,), number of instances that needed the
-    total-statistic fallback).
+    pairwise statistic against every rival is positive; without a unanimous
+    winner the largest total pairwise statistic wins (lowest index on ties).
+    A candidate is named (by the exact rule when R = 1, else by the sweep)
+    and verified once; _fallback resolves the instances that fail.  Returns
+    (winners of shape (n,), number of instances without a unanimous winner).
     """
     thr = np.asarray(thresholds, dtype=float)[:, None]
-    if thr.shape[0] != 1:
-        return _sweep(base, rels, thr)
-    # lam(k, q) > 0 iff a_k - a_q > -T and (a_k - a_q > T or c_k > c_q), with
-    # a = base and c = base + rel, so a unanimous winner is the argmax of c
-    # over {q : a_q > max a - T}
+    champ, cb, cr = (_one_relay_candidate if len(thr) == 1 else _sweep)(base, rels, thr)
+    left = np.flatnonzero(~_unanimous(cb, cr, base, rels, thr))
+    if not left.size:
+        return champ, 0
+    champ[left], n_fallback = _fallback(_gather("left_base", base, left),
+                                        _gather("left_rels", rels, left), thr[:, 0])
+    return champ, n_fallback
+
+
+def _one_relay_candidate(base, rels, thr):
+    """The one-relay rule's candidate (module docstring) and its values, (champ, cb, cr)."""
     m, n = base.shape
     mask = np.greater(base, base.max(axis=0) - thr[0],
                       out=_WORKSPACE.take("mask", (m, n), bool))
@@ -275,23 +280,17 @@ def _tournament(base, rels, thresholds):
     c[...] = np.arange(m)[:, None]
     np.copyto(c, m - 1, where=mask)
     champ = c.min(axis=0).astype(np.int64)
-    at = champ[None, None, :]
-    ok = _unanimous(np.take_along_axis(base, at[0], axis=0)[0],
-                    np.take_along_axis(rels, at, axis=0)[0], base, rels, thr)
-    left = np.flatnonzero(~ok)
-    if not left.size:
-        return champ, 0
-    champ[left], n_fallback = _sweep(_gather("left_base", base, left),
-                                     _gather("left_rels", rels, left), thr)
-    return champ, n_fallback
+    return (champ, np.take_along_axis(base, champ[None], axis=0)[0],
+            np.take_along_axis(rels, champ[None, None], axis=0)[0])
 
 
 def _sweep(base, rels, thr):
-    """The sequential tournament, its verification and the fallback.
+    """The sequential tournament's champion, the candidate for R != 1 relays.
 
-    A champion found by the sweep is verified against all rivals.  The
-    champion's own base and relay values are carried along and overwritten
-    where it loses, so no step gathers.
+    Rival q replaces the champion unless the champion beats it, so a
+    unanimous winner, once reached, is kept: the sweep names it whenever one
+    exists.  The champion's own base and relay values are carried along and
+    overwritten where it loses, so no step gathers; returns (champ, cb, cr).
     """
     m, n = base.shape
     champ = np.zeros(n, dtype=np.int64)
@@ -304,20 +303,19 @@ def _sweep(base, rels, thr):
         np.putmask(champ, lose, q)
         np.copyto(cb, base[q], where=lose)
         np.copyto(cr, rels[q], where=lose)
-    bad = np.flatnonzero(~_unanimous(cb, cr, base, rels, thr))
-    if bad.size:
-        champ[bad] = _fallback(_gather("bad_base", base, bad),
-                               _gather("bad_rels", rels, bad), thr[:, 0])
-    return champ, int(bad.size)
+    return champ, cb, cr
 
 
 def _fallback(base, rels, thresholds):
-    """Largest total pairwise statistic per instance, lowest index on ties.
+    """Each instance's winner from its (M, M) table of pairwise statistics.
 
-    lam[b, k, q] = sum over r of clip(r_k - r_q), summed in relay order, plus
-    (base_k - base_q).  It is built _FALLBACK_CHUNK instances at a time, the
-    first term written in place, so its arrays stay small.  The terms are
-    copied instance-major first, so each table is built from contiguous rows.
+    lam[b, k, q] = sum over r of clip(r_k - r_q), in relay order, plus
+    (base_k - base_q), _unanimous's float sum: the row whose off-diagonal
+    entries are all positive is the unanimous winner (at most one exists),
+    else the largest row total wins, lowest index on ties.  The tables are
+    built _FALLBACK_CHUNK instances at a time from instance-major copies of
+    the terms, the first term written in place.  Returns (winners, number of
+    instances without a unanimous row).
     """
     m, n = base.shape
     rows = _WORKSPACE.take("fallback_rows", (len(thresholds) + 1, n, m))
@@ -327,10 +325,12 @@ def _fallback(base, rels, thresholds):
     shape = (min(n, _FALLBACK_CHUNK), m, m)
     lam = _WORKSPACE.take("fallback_sum", shape)
     diff = _WORKSPACE.take("fallback_term", shape)
+    beats = _WORKSPACE.take("fallback_beats", shape, bool)
     winners = np.empty(n, dtype=np.int64)
+    n_fallback = 0
     for lo in range(0, n, _FALLBACK_CHUNK):
         hi = min(lo + _FALLBACK_CHUNK, n)
-        acc, tmp = lam[:hi - lo], diff[:hi - lo]
+        acc, tmp, win = lam[:hi - lo], diff[:hi - lo], beats[:hi - lo]
         for i, (vals, t) in enumerate(terms):
             v = vals[lo:hi]
             out = tmp if i else acc
@@ -339,18 +339,24 @@ def _fallback(base, rels, thresholds):
                 np.clip(out, -t, t, out=out)
             if i:
                 acc += tmp
-        winners[lo:hi] = np.argmax(acc.sum(axis=-1), axis=-1)
-    return winners
+        np.greater(acc, 0.0, out=win)
+        win.reshape(hi - lo, m * m)[:, ::m + 1] = True  # k need not beat k
+        unanimous = win.all(axis=-1)
+        found = unanimous.any(axis=-1)
+        winners[lo:hi] = np.where(found, np.argmax(unanimous, axis=-1),
+                                  np.argmax(acc.sum(axis=-1), axis=-1))
+        n_fallback += hi - lo - int(np.count_nonzero(found))
+    return winners, n_fallback
 
 
-def _check_psk(spec: ConstellationSpec) -> None:
-    if spec.kind != "psk":
-        raise ValueError(f"expected a psk constellation, got {spec.kind!r}")
-
-
-def _check_qam(spec: ConstellationSpec) -> None:
-    if spec.kind != "qam":
-        raise ValueError(f"expected a qam constellation, got {spec.kind!r}")
+def _relay_count(spec, kind, y_rd, rd_noise_vars, cfg):
+    """The decoder's relay count, once the alphabet and the counts are checked."""
+    if spec.kind != kind:
+        raise ValueError(f"expected a {kind} constellation, got {spec.kind!r}")
+    n_rel = len(cfg.epsilons)
+    if y_rd.shape[0] != n_rel or len(rd_noise_vars) != n_rel:
+        raise ValueError("relay counts of observations, noise vars, and config differ")
+    return n_rel
 
 
 def _certify(z0, zr, sd_noise_var, rd_noise_vars, points, thresholds):
@@ -399,12 +405,9 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     the direct link's decision; the others are scored over blocks of
     _PSK_BLOCK pairs, so the working set does not grow with the batch.
     """
-    _check_psk(spec)
     y_sd = np.asarray(y_sd)
     y_rd = np.asarray(y_rd)
-    n_rel = len(cfg.epsilons)
-    if y_rd.shape[0] != n_rel or len(rd_noise_vars) != n_rel:
-        raise ValueError("relay counts of observations, noise vars, and config differ")
+    n_rel = _relay_count(spec, "psk", y_rd, rd_noise_vars, cfg)
     z0 = _pair_products(y_sd).ravel()
     zr = _pair_products(y_rd).reshape(n_rel, z0.size)
     decisions = np.empty(z0.size, dtype=np.int64)
@@ -482,12 +485,9 @@ def decode_qam_frames(
     run on y_rd would.  The negated scores are then combined with the direct
     link's to decide the symbol.
     """
-    _check_qam(spec)
     y_sd = np.asarray(y_sd)
     y_rd = np.asarray(y_rd)
-    n_rel = len(cfg.epsilons)
-    if y_rd.shape[0] != n_rel or len(rd_noise_vars) != n_rel:
-        raise ValueError("relay counts of observations, noise vars, and config differ")
+    n_rel = _relay_count(spec, "qam", y_rd, rd_noise_vars, cfg)
     genie = cfg.kind == "genie_reference"
     if genie and (true_source_idx is None or true_relay_idx is None):
         raise ValueError("genie_reference decoding requires the true indices")

@@ -168,6 +168,16 @@ class TestConfigValidation:
         plan = load_config(write_yaml(tmp_path / "d.yaml", doc)).jobs[0].plan
         assert (plan.n_relays, plan.seed) == (2, 4)
 
+    def test_constellation_size_follows_the_integer_rule(self, tmp_path):
+        # M takes the rule of every integer field: a whole float loads,
+        # a fraction or a bool is refused
+        doc = minimal_doc(constellation={"kind": "psk", "M": 16.0})
+        assert load_config(write_yaml(tmp_path / "c.yaml", doc)).jobs[0].plan.spec.M == 16
+        for m in (16.5, True):
+            doc = minimal_doc(constellation={"kind": "psk", "M": m})
+            with pytest.raises(ConfigError, match=r"config\.constellation\.M must be an integer"):
+                load_config(write_yaml(tmp_path / "c.yaml", doc))
+
     def test_grid_range_expands_inclusively(self, tmp_path):
         doc = minimal_doc(grid_db={"start": 0, "stop": 36, "step": 3})
         cfg = load_config(write_yaml(tmp_path / "c.yaml", doc))

@@ -30,6 +30,7 @@ from diffrelay.decoders import (
     _certify,
     _counted_ml_decode,
     _counted_pl_decode,
+    _fallback,
     _mixture_log_scores,
     _sweep,
     _tournament,
@@ -531,6 +532,20 @@ class TestFrameDecoders:
         expect = np.argmax(np.real(z[..., None] * QPSK.points), axis=-1)
         np.testing.assert_array_equal(got, expect)
 
+    @pytest.mark.parametrize("snr_db", [5.0, 15.0])
+    @pytest.mark.parametrize("make, m", [(make_psk, 4), (make_psk, 16), (make_qam, 16)])
+    def test_pl_without_relays_decides_as_ml(self, make, m, snr_db):
+        # with no relay the pairwise statistic is the direct link's
+        # difference, so PL runs the tournament to ML's decisions
+        spec = make(m)
+        points = {kind: run_point(ExperimentPlan(spec, DecoderConfig(kind), (snr_db,),
+                                                 n_relays=0, trials=TrialsPolicy(200, 32_768),
+                                                 seed=5), 0)
+                  for kind in ("ml", "pl")}
+        assert (points["pl"].errors, points["pl"].trials) == \
+            (points["ml"].errors, points["ml"].trials)
+        assert points["pl"].fallbacks == 0
+
 
 class TestOpCounting:
     def test_formula_values(self):
@@ -864,47 +879,71 @@ class TestCertificates:
         assert with_certificates == kernel_only
 
 
+def integer_statistics(rng, m, n_rel, threshold, n=3000):
+    """Small integer statistics, base (n, M) and rels (n, R, M).
+
+    Exact ties are everywhere, and for a finite threshold some candidates'
+    base sits exactly at max base - T, the edge of the one-relay rule's set.
+    """
+    base = rng.integers(-3, 4, size=(n, m)).astype(float)
+    rels = rng.integers(-4, 5, size=(n, n_rel, m)).astype(float)
+    if math.isfinite(threshold):
+        edge = rng.random(n) < 0.3
+        cols = rng.integers(0, m, size=n)
+        base[edge, cols[edge]] = base[edge].max(axis=-1) - threshold
+    return base, rels
+
+
+def threshold_key(threshold):
+    return int(10 * threshold) + 10 if math.isfinite(threshold) else 99
+
+
+def named_candidate(pick):
+    """Stand-in for the candidate stage that names pick (n,) for every instance."""
+    def stage(base, rels, thr):
+        cols = np.arange(base.shape[1])
+        return pick.copy(), base[pick, cols], rels[pick, :, cols].T
+    return stage
+
+
 class TestOneRelayRule:
     """With one relay the tournament names its candidate by the exact rule."""
 
     @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 2.0, math.inf, -0.5])
     @pytest.mark.parametrize("m", [2, 4, 16, 32])
-    def test_matches_all_pairs_rule_and_sweep(self, m, threshold):
-        # small integer statistics: exact ties everywhere, and candidates
-        # whose base sits exactly at max base - T, the edge of the rule's set
-        rng = make_stream(42, m, int(10 * threshold) + 10 if math.isfinite(threshold) else 99)
-        n = 3000
-        base = rng.integers(-3, 4, size=(n, m)).astype(float)
-        rels = rng.integers(-4, 5, size=(n, 1, m)).astype(float)
-        if math.isfinite(threshold):
-            edge = rng.random(n) < 0.3
-            cols = rng.integers(0, m, size=n)
-            base[edge, cols[edge]] = base[edge].max(axis=-1) - threshold
-        got = pairwise_select(base, rels, (threshold,))
+    def test_matches_all_pairs_rule_and_sweep(self, monkeypatch, m, threshold):
+        # the exact rule's candidate, and the sweep's in its place, both
+        # end in the all-pairs rule's winners and fallback count
+        rng = make_stream(42, m, threshold_key(threshold))
+        base, rels = integer_statistics(rng, m, 1, threshold)
         expect = pairwise_select_bruteforce(base, rels, (threshold,))
+        got = pairwise_select(base, rels, (threshold,))
         np.testing.assert_array_equal(got[0], expect[0])
         assert got[1] == expect[1]
-        thr = np.array([[threshold]])
-        swept = _sweep(np.ascontiguousarray(base.T), np.ascontiguousarray(rels.T), thr)
-        np.testing.assert_array_equal(got[0], swept[0])
-        assert got[1] == swept[1]
+        monkeypatch.setattr(decoders, "_one_relay_candidate", _sweep)
+        swept = pairwise_select(base, rels, (threshold,))
+        np.testing.assert_array_equal(swept[0], expect[0])
+        assert swept[1] == expect[1]
 
-    @pytest.mark.parametrize("m", [4, 16, 32])
-    def test_sweeps_only_instances_without_a_winner(self, monkeypatch, m):
-        # the rule names every unanimous winner, so the sequential sweep
-        # sees exactly the instances that end in the fallback
-        swept = []
-
-        def recording_sweep(base, rels, thr):
-            swept.append(base.shape[1])
-            return _sweep(base, rels, thr)
-
-        monkeypatch.setattr(decoders, "_sweep", recording_sweep)
-        rng = make_stream(44, m)
-        base = rng.normal(scale=2.0, size=(5000, m))
-        rels = rng.normal(scale=3.0, size=(5000, 1, m))
-        _, n_fallback = pairwise_select(base, rels, (1.5,))
-        assert 0 < n_fallback == sum(swept)
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, math.inf, -0.5])
+    @pytest.mark.parametrize("m", [2, 4, 16, 32])
+    @pytest.mark.parametrize("n_rel", [1, 3])
+    def test_any_candidate_is_resolved_exactly(self, monkeypatch, n_rel, m, threshold):
+        # verification and the fallback's tables decide whatever the
+        # candidate stage names: candidate 0 everywhere, then a rotated
+        # candidate that is wrong everywhere, so every instance, those with
+        # a unanimous winner included, reaches the fallback
+        rng = make_stream(46, m, n_rel, threshold_key(threshold))
+        base, rels = integer_statistics(rng, m, n_rel, threshold)
+        thresholds = (threshold,) * n_rel
+        expect = pairwise_select_bruteforce(base, rels, thresholds)
+        rotated = (expect[0] + 1 + np.arange(expect[0].size) % (m - 1)) % m
+        for pick in (np.zeros_like(expect[0]), rotated):
+            monkeypatch.setattr(decoders, "_one_relay_candidate", named_candidate(pick))
+            monkeypatch.setattr(decoders, "_sweep", named_candidate(pick))
+            got = pairwise_select(base, rels, thresholds)
+            np.testing.assert_array_equal(got[0], expect[0])
+            assert got[1] == expect[1]
 
 
 class TestFallbackChunks:
@@ -921,6 +960,24 @@ class TestFallbackChunks:
         expect = pairwise_select_bruteforce(base, rels, (1.5, 1.5, 1.5))
         assert got[1] == expect[1] == n
         np.testing.assert_array_equal(got[0], expect[0])
+
+    @pytest.mark.parametrize("n", [_FALLBACK_CHUNK - 1, _FALLBACK_CHUNK, _FALLBACK_CHUNK + 1,
+                                   2 * _FALLBACK_CHUNK + 1])
+    def test_mixed_chunks_count_only_instances_without_a_winner(self, n):
+        # the cyclic relays again, but about half the instances give one
+        # candidate a direct-link lead (5) beyond the relays' clipped sum
+        # (4.5): those have a unanimous winner, which the tables must find
+        rng = make_stream(47, n)
+        cyclic = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
+        rels = cyclic + rng.uniform(-0.05, 0.05, size=(n, 3, 3))
+        base = rng.uniform(-0.05, 0.05, size=(n, 3))
+        lead = np.flatnonzero(rng.random(n) < 0.5)
+        base[lead, rng.integers(0, 3, size=lead.size)] += 5.0
+        winners, n_fallback = _fallback(np.ascontiguousarray(base.T),
+                                        np.ascontiguousarray(rels.T), (1.5, 1.5, 1.5))
+        expect = pairwise_select_bruteforce(base, rels, (1.5, 1.5, 1.5))
+        assert n_fallback == expect[1] == n - lead.size
+        np.testing.assert_array_equal(winners, expect[0])
 
 
 def traced_peak_bytes(fn):
