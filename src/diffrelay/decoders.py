@@ -508,7 +508,7 @@ def decode_qam_frames(
         np.negative(base, out=base)
         if pl:
             decisions[:, n], nf = _tournament(
-                base.T, np.ascontiguousarray(rels.transpose(2, 0, 1)), thresholds)
+                base.T.copy(), rels.transpose(2, 0, 1).copy(), thresholds)
             n_fallback += nf
         else:
             for sc, eps in zip(rels, epsilons):

@@ -8,11 +8,15 @@ indices, and confidence intervals are Wilson intervals on a cluster-adjusted
 effective sample size, since symbols within one coherence frame share a
 channel draw.
 
-A simulation call takes a list of batches: their draws are written into the
-rows of one stack, and the relays and the decoder run once over it.  A QAM
-round is split into one contiguous share of batches per worker, so the
-sequential QAM chains pay their per-symbol overhead once per share; PSK,
-whose kernels gain nothing from larger stacks, runs one batch per call.
+A simulation call takes a list of batches and runs in stages over one stack
+of frames: symbols; every link's draws (one stream per batch and link, gain
+first, noise second); encode; one channel product for the links that carry
+the source's frame (direct, and source-relay unless ``sr_infinite``); the
+relays; one for the relay-destination links; decode; count.  One link list
+pairs each stack row with its stream purpose.  A QAM round runs one
+contiguous share of batches per worker, so its sequential chains pay their
+per-symbol overhead once per share; PSK, whose kernels gain nothing from
+larger stacks, runs one batch per call.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class ExperimentPlan:
             if len(self.sr_offsets_db) != self.n_relays or len(self.rd_offsets_db) != self.n_relays:
                 raise ValueError("custom tying needs one sr and rd offset per relay")
         elif self.sr_offsets_db or self.rd_offsets_db:
-            raise ValueError(f"link offsets are only meaningful with custom tying")
+            raise ValueError("link offsets are only meaningful with custom tying")
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.trials.max_trials < self.frame_len:
@@ -285,15 +289,18 @@ def resolve_epsilons(plan: ExperimentPlan, index: int) -> tuple[float, ...]:
 def _simulate_batch(plan, index, jobs, decoder_cfg):
     """Simulate the (batch, n_frames) ``jobs`` as one stack of frames.
 
-    Returns (errors, sum of squared frame errors, fallbacks) over all jobs.
-    Each batch's draws come from its own streams addressed by (seed, point,
-    batch, purpose) and fill its rows of the stack, so the result is the sum
-    of the jobs' separate results and a pure function of those integers.
+    Returns (errors, sum of squared frame errors, fallbacks) over all jobs,
+    in the stages the module docstring names; ``links`` is the link list.
+    A batch's draws fill its rows, so the result is the sum of the jobs'
+    separate results and a pure function of those integers.
     """
-    spec = plan.spec
+    spec, length = plan.spec, plan.frame_len
     source_dest, source_relay, relay_dest = plan.topology_at(index)
-    length = plan.frame_len
-    genie_relay = plan.tying == "sr_infinite"
+    n_sr = 0 if plan.tying == "sr_infinite" else plan.n_relays
+    links = ([(source_dest, _STREAM_SD)]
+             + [(link, _STREAM_SR0 + 2 * r) for r, link in enumerate(source_relay[:n_sr])]
+             + [(link, _STREAM_RD0 + 2 * r) for r, link in enumerate(relay_dest)])
+    noise_var = np.array([link.noise_var for link, _ in links])
     starts = np.cumsum([0] + [n for _, n in jobs])
     rows = [(batch, slice(lo, lo + n), n) for (batch, n), lo in zip(jobs, starts)]
     idx = np.empty((starts[-1], length), dtype=np.int64)
@@ -301,44 +308,30 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
         rng = make_stream(plan.seed, index, batch, _STREAM_SYMBOLS)
         idx[sl] = rng.integers(0, spec.M, size=(n, length))
 
-    if spec.kind == "psk":
-        v_s = encode_psk_frame(idx, spec)
-    else:
-        v_s = encode_qam_frame(idx, spec)
-
-    def through(link, v, purpose, out):
-        for batch, sl, n in rows:
+    gains = np.empty((len(links), starts[-1]), dtype=complex)
+    # y holds each link's noise (zero under zero_noise), then its samples h v + noise
+    y = (np.zeros if plan.zero_noise else np.empty)(gains.shape + (length + 1,), dtype=complex)
+    for batch, sl, n in rows:
+        for row, (link, purpose) in enumerate(links):
             rng = make_stream(plan.seed, index, batch, purpose)
-            h = draw_block_gain(link, rng, size=n)
-            np.multiply(h[:, None], v[sl], out=out[sl])
+            gains[row, sl] = draw_block_gain(link, rng, size=n)
             if not plan.zero_noise:
-                out[sl] += draw_noise(link.noise_var, rng, size=(n, length + 1))
+                y[row, sl] = draw_noise(link.noise_var, rng, size=(n, length + 1))
 
-    y_sd = np.empty(v_s.shape, dtype=complex)
-    through(source_dest, v_s, _STREAM_SD, y_sd)
-
-    n_rel = plan.n_relays
-    y_rd = np.empty((n_rel,) + y_sd.shape, dtype=complex)
+    v_s = (encode_psk_frame if spec.kind == "psk" else encode_qam_frame)(idx, spec)
+    y[:1 + n_sr] += gains[:1 + n_sr, :, None] * v_s
     # sr_infinite relays decide without error and forward the source's frame
-    v_r = np.broadcast_to(v_s, y_rd.shape)
-    relay_decisions = np.broadcast_to(idx, (n_rel,) + idx.shape)
-    if n_rel and not genie_relay:
-        y_sr = np.empty_like(y_rd)
-        for r, link in enumerate(source_relay):
-            through(link, v_s, _STREAM_SR0 + 2 * r, y_sr[r])
-        v_r, relay_decisions = relay_process_frame(
-            y_sr, spec, np.array([[link.noise_var] for link in source_relay])
-        )
-    for r, link in enumerate(relay_dest):
-        through(link, v_r[r], _STREAM_RD0 + 2 * r, y_rd[r])
+    v_r, relay_decisions = v_s, np.broadcast_to(idx, (plan.n_relays,) + idx.shape)
+    if n_sr:
+        v_r, relay_decisions = relay_process_frame(y[1:1 + n_sr], spec, noise_var[1:1 + n_sr, None])
+    y_rd, rd_nvs = y[1 + n_sr:], noise_var[1 + n_sr:]
+    y_rd += gains[1 + n_sr:, :, None] * v_r
 
-    sd_nv = source_dest.noise_var
-    rd_nvs = tuple(link.noise_var for link in relay_dest)
     if spec.kind == "psk":
-        decoded, fallbacks = decode_psk_frames(y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg)
+        decoded, fallbacks = decode_psk_frames(y[0], y_rd, noise_var[0], rd_nvs, spec, decoder_cfg)
     else:
         decoded, fallbacks = decode_qam_frames(
-            y_sd, y_rd, sd_nv, rd_nvs, spec, decoder_cfg,
+            y[0], y_rd, noise_var[0], rd_nvs, spec, decoder_cfg,
             true_source_idx=idx, true_relay_idx=relay_decisions,
         )
     frame_errors = np.count_nonzero(decoded != idx, axis=-1)

@@ -20,10 +20,12 @@ from diffrelay.analysis import (
     pep_exact,
     ser_nearest_neighbor,
 )
-from diffrelay.channel import LinkParams
+from diffrelay import simkit
+from diffrelay.channel import LinkParams, make_stream
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.decoders import DecoderConfig
-from diffrelay.relay import analytic_epsilon_psk
+from diffrelay.diffmod import encode_psk_frame, encode_qam_frame
+from diffrelay.relay import analytic_epsilon_psk, relay_process_frame
 from diffrelay.simkit import (
     ComparisonRow,
     ExperimentPlan,
@@ -429,6 +431,84 @@ class TestFusedShares:
         assert one.trials == 93_312
         assert one.fallbacks > 0
         assert one == two == three
+
+
+class TestStreamLayout:
+    """Decoder inputs rebuilt from the streams alone, one (batch, purpose) at a time.
+
+    Purpose 0 gives a batch's symbols, purpose 1 the direct link and
+    2 + 2r, 3 + 2r relay r's source-relay and relay-destination links; each
+    link stream gives its gain first and its noise second.
+    """
+
+    JOBS = [(3, 5), (4, 2)]
+
+    @staticmethod
+    def link(rng, link, v, zero_noise):
+        length = v.shape[-1]
+        scale = np.sqrt(link.sigma2 / 2.0)
+        h = rng.normal(0.0, scale, size=len(v)) + 1j * rng.normal(0.0, scale, size=len(v))
+        y = h[:, None] * v
+        if not zero_noise:
+            scale = np.sqrt(link.noise_var / 2.0)
+            size = (len(v), length)
+            y = y + (rng.normal(0.0, scale, size=size) + 1j * rng.normal(0.0, scale, size=size))
+        return y
+
+    def rebuild(self, plan):
+        spec, seed, length, n_rel = plan.spec, plan.seed, plan.frame_len, plan.n_relays
+        sd, sr, rd = plan.topology_at(0)
+        encode = encode_psk_frame if spec.kind == "psk" else encode_qam_frame
+        idx = np.empty((sum(n for _, n in self.JOBS), length), dtype=np.int64)
+        y_sd = np.empty((len(idx), length + 1), dtype=complex)
+        y_rd = np.empty((n_rel,) + y_sd.shape, dtype=complex)
+        relay_idx = np.empty((n_rel,) + idx.shape, dtype=np.int64)
+        lo = 0
+        for batch, n in self.JOBS:
+            rows, lo = slice(lo, lo + n), lo + n
+            idx[rows] = make_stream(seed, 0, batch, 0).integers(0, spec.M, size=(n, length))
+            v = encode(idx[rows], spec)
+            y_sd[rows] = self.link(make_stream(seed, 0, batch, 1), sd, v, plan.zero_noise)
+            for r in range(n_rel):
+                v_r, relay_idx[r, rows] = v, idx[rows]
+                if plan.tying != "sr_infinite":
+                    y_sr = self.link(make_stream(seed, 0, batch, 2 + 2 * r), sr[r], v,
+                                     plan.zero_noise)
+                    v_r, relay_idx[r, rows] = relay_process_frame(y_sr, spec, sr[r].noise_var)
+                y_rd[r, rows] = self.link(make_stream(seed, 0, batch, 3 + 2 * r), rd[r], v_r,
+                                          plan.zero_noise)
+        return idx, y_sd, y_rd, relay_idx, sd.noise_var, [link.noise_var for link in rd]
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("tying", ["all_equal", "sr_infinite", "custom"])
+    @pytest.mark.parametrize("n_rel", [0, 2])
+    @pytest.mark.parametrize("spec", [QPSK, QAM16], ids=["psk4", "qam16"])
+    def test_decoder_inputs_follow_the_streams(self, monkeypatch, spec, n_rel, tying,
+                                               zero_noise):
+        offsets = (3.0, -3.0)[:n_rel] if tying == "custom" else ()
+        plan = ExperimentPlan(
+            spec, DecoderConfig("pl", epsilons=(0.05,) * n_rel), (8.0,), n_relays=n_rel,
+            tying=tying, sr_offsets_db=offsets, rd_offsets_db=offsets[::-1], seed=21,
+            frame_len=8, zero_noise=zero_noise,
+        )
+        seen = {}
+
+        def capture(y_sd, y_rd, sd_nv, rd_nvs, spec, cfg, **truth):
+            seen.update(y_sd=y_sd, y_rd=y_rd, sd_nv=sd_nv, rd_nvs=rd_nvs, **truth)
+            return np.zeros((len(y_sd), y_sd.shape[1] - 1), dtype=np.int64), 0
+
+        monkeypatch.setattr(simkit, f"decode_{spec.kind}_frames", capture)
+        _simulate_batch(plan, 0, self.JOBS, plan.decoder)
+        idx, y_sd, y_rd, relay_idx, sd_nv, rd_nvs = self.rebuild(plan)
+        # bit for bit, signed zeros included
+        for got, want in ((seen["y_sd"], y_sd), (seen["y_rd"], y_rd)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert seen["sd_nv"] == sd_nv and np.array_equal(seen["rd_nvs"], rd_nvs)
+        if spec.kind == "qam":
+            assert np.array_equal(seen["true_source_idx"], idx)
+            assert np.array_equal(seen["true_relay_idx"], relay_idx)
+            assert seen["true_relay_idx"].shape == relay_idx.shape
 
 
 class TestRunSweep:
