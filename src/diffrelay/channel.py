@@ -51,15 +51,30 @@ def make_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def draw_block_gain(link: LinkParams, rng: np.random.Generator, size=None):
-    """Circular complex Gaussian gain h with E|h|^2 = link.sigma2."""
-    scale = np.sqrt(link.sigma2 / 2.0)
-    h = rng.normal(0.0, scale, size=size) + 1j * rng.normal(0.0, scale, size=size)
-    return complex(h) if size is None else h
+def draw_block_gain(link: LinkParams, rng: np.random.Generator, size=None, out=None):
+    """Circular complex Gaussian gain h with E|h|^2 = link.sigma2 (into out, if given)."""
+    return _complex_normal(np.sqrt(link.sigma2 / 2.0), rng, size, out)
 
 
-def draw_noise(noise_var: float, rng: np.random.Generator, size=None):
-    """Complex AWGN with total variance noise_var."""
-    scale = np.sqrt(noise_var / 2.0)
-    e = rng.normal(0.0, scale, size=size) + 1j * rng.normal(0.0, scale, size=size)
-    return complex(e) if size is None else e
+def draw_noise(noise_var: float, rng: np.random.Generator, size=None, out=None):
+    """Complex AWGN with total variance noise_var (into out, if given)."""
+    return _complex_normal(np.sqrt(noise_var / 2.0), rng, size, out)
+
+
+def _complex_normal(scale, rng, size, out):
+    """Real parts, then imaginary parts, each rng.normal(0.0, scale, size).
+
+    normal(0, s) returns 0.0 + s z for a standard normal z, so each part is
+    drawn into one float plane, scaled and written into place: the same
+    draws and the same bytes, with no complex temporaries.  out, when
+    given, must have shape size; without either, the result is a complex.
+    """
+    scalar = size is None and out is None
+    if out is None:
+        out = np.empty(() if size is None else size, dtype=complex)
+    plane = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(size, out=plane)
+        plane *= scale
+        np.add(plane, 0.0, out=part)
+    return complex(out) if scalar else out

@@ -20,8 +20,14 @@ Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
 (R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
 tournament names and verifies its candidates candidate-major, (M, n) and
 (M, R, n); the sweep carries its champion's values instead of gathering
-them.  The instances that fail verification are resolved from (chunk, M, M)
-tables of _FALLBACK_CHUNK instances, summed one clipped relay term at a time.
+them.  The instances that fail verification are resolved from the same
+candidate-major arrays, in chunks of instances and groups of eight rivals,
+(8, M, chunk), with no table of every pair.  Each instance's winner without
+a unanimous row is the argmax of its row totals, and rounding decides near
+ties, so the totals are added in numpy's own pairwise order (Higham, SIAM
+J. Sci. Comput. 14(4), 1993), the order a row sum over a table takes:
+summed rival by rival, left to right, they changed 22 of 2,000 decisions
+on exact-tie inputs.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
@@ -32,7 +38,7 @@ those scores, and combines them with the direct link's, so the working set
 is one step's scores.  B may be a worker's whole share of a round, so the
 loop's overhead is paid once per share.  Blocking changes no element's
 arithmetic, so every decision is the same for any block size.  The kernels
-write their (M, n), (M, R, n) and (chunk, M, M) arrays with out= into one
+write their (M, n), (M, R, n) and (8, M, chunk) arrays with out= into one
 workspace per thread (_Workspace): a flat array per role that grows to the
 largest block it has served and is handed out as views, so a warmed thread
 decodes a batch without block-sized allocations, which the allocator would
@@ -69,8 +75,8 @@ One relay.  With N = 1, lam(k, q) > 0 iff a_k - a_q > -T and (a_k - a_q > T
 or c_k > c_q), c = a + b, so the only possible unanimous winner is the
 argmax of c over {q : a_q > max a - T}; with more relays, or none, the
 sequential sweep names the candidate.  Either is verified once, and the
-instances that fail go to the fallback's tables, which find any unanimous
-winner the candidate's rounding missed, so rounding changes no decision.
+instances that fail go to the fallback, which finds any unanimous winner
+the candidate's rounding missed, so rounding changes no decision.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ import numpy as np
 
 from .channel import make_stream
 from .constellation import make_psk
-from .relay import qam_objective
+from .relay import psk_sector, qam_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
@@ -100,8 +106,15 @@ _PSK_BLOCK = 4096
 _CERT_PROBE = 512
 _CERT_MIN_SHARE = 0.5
 _CERT_SLACK = 1e-9
-# Instances per chunk of the tournament's (chunk, M, M) fallback statistics.
-_FALLBACK_CHUNK = 64
+# Fallback chunks: candidates times instances, so the chunk's (8, M, chunk)
+# arrays take about 0.9 MB at any M, within the (64, M, M) tables they
+# replace at psk-32.
+_FALLBACK_ELEMENTS = 4096
+# numpy's pairwise summation block: a longer row is summed in two parts.
+_PAIRWISE_BLOCK = 128
+# [j, k]: rival j of a group of eight is not candidate k, both counted from
+# the group's first rival
+_OFF_DIAGONAL = ~np.eye(8, dtype=bool)[:, :, None]
 _NEG_INF_BITS = np.float64(-np.inf).view(np.int64)
 
 
@@ -307,46 +320,102 @@ def _sweep(base, rels, thr):
 
 
 def _fallback(base, rels, thresholds):
-    """Each instance's winner from its (M, M) table of pairwise statistics.
+    """Each instance's winner from its pairwise statistics, eight rivals at a time.
 
-    lam[b, k, q] = sum over r of clip(r_k - r_q), in relay order, plus
-    (base_k - base_q), _unanimous's float sum: the row whose off-diagonal
-    entries are all positive is the unanimous winner (at most one exists),
-    else the largest row total wins, lowest index on ties.  The tables are
-    built _FALLBACK_CHUNK instances at a time from instance-major copies of
-    the terms, the first term written in place.  Returns (winners, number of
-    instances without a unanimous row).
+    lam(k, q) = sum over r of clip(r_k - r_q), in relay order, plus
+    (base_k - base_q), _unanimous's float sum: the row whose entries over
+    q != k are all positive is the unanimous winner (at most one exists),
+    else the largest row total wins, lowest index on ties.  The instances
+    go in chunks of c = _FALLBACK_ELEMENTS // M and the rivals q in groups
+    of up to eight: lam(k, q) for every candidate k against a group's
+    rivals is one (8, M, c) array, and a row is unanimous when its least
+    entry over q != k is positive.  _pairwise_sum adds the groups into the
+    row totals in numpy's pairwise order, so every total equals the sum
+    over q of the row of an (M, M) table of lam, bit for bit.  Returns
+    (winners, number of instances without a unanimous row).
     """
     m, n = base.shape
-    rows = _WORKSPACE.take("fallback_rows", (len(thresholds) + 1, n, m))
-    rows[:-1] = rels.transpose(1, 2, 0)
-    rows[-1] = base.T
-    terms = [*zip(rows, thresholds), (rows[-1], None)]
-    shape = (min(n, _FALLBACK_CHUNK), m, m)
-    lam = _WORKSPACE.take("fallback_sum", shape)
-    diff = _WORKSPACE.take("fallback_term", shape)
-    beats = _WORKSPACE.take("fallback_beats", shape, bool)
+    chunk = max(1, _FALLBACK_ELEMENTS // m)
     winners = np.empty(n, dtype=np.int64)
     n_fallback = 0
-    for lo in range(0, n, _FALLBACK_CHUNK):
-        hi = min(lo + _FALLBACK_CHUNK, n)
-        acc, tmp, win = lam[:hi - lo], diff[:hi - lo], beats[:hi - lo]
-        for i, (vals, t) in enumerate(terms):
-            v = vals[lo:hi]
-            out = tmp if i else acc
-            np.subtract(v[:, :, None], v[:, None, :], out=out)
-            if t is not None:
-                np.clip(out, -t, t, out=out)
-            if i:
-                acc += tmp
-        np.greater(acc, 0.0, out=win)
-        win.reshape(hi - lo, m * m)[:, ::m + 1] = True  # k need not beat k
-        unanimous = win.all(axis=-1)
-        found = unanimous.any(axis=-1)
-        winners[lo:hi] = np.where(found, np.argmax(unanimous, axis=-1),
-                                  np.argmax(acc.sum(axis=-1), axis=-1))
-        n_fallback += hi - lo - int(np.count_nonzero(found))
+    for lo in range(0, n, chunk):
+        # each term's rows, the relays' and then the base's, as minuends,
+        # (1, M, c), and as rivals, (M, 1, c), with the relay's clip level
+        rows = [*rels[:, :, lo:lo + chunk].transpose(1, 0, 2), base[:, lo:lo + chunk]]
+        terms = [(v[None], v[:, None], t) for v, t in zip(rows, (*thresholds, None))]
+        c = rows[0].shape[1]
+        work = _WORKSPACE.take("fallback", (27, m, c))
+        scratch, term, partials = work[:8], work[8:16], work[16:24]
+        total, least, group_least = work[24:]
+
+        def rivals(q, g, out):
+            # lam(k, q + j) into out[j]: the clipped relay terms in relay
+            # order, then the base term.  Copying the rivals' rows over the
+            # candidates and subtracting from that is faster than one
+            # subtraction broadcast along both axes
+            for i, (v, rival, t) in enumerate(terms):
+                diff = term[:g] if i else out
+                np.copyto(diff, rival[q:q + g])
+                np.subtract(v, diff, out=diff)
+                if t is not None:
+                    diff.clip(-t, t, out=diff)
+                if i:
+                    out += diff
+            # each row's least entry against the rivals so far, its own left out
+            group = group_least if q else least
+            np.minimum.reduce(out, axis=0, out=group)
+            np.minimum.reduce(out[:, q:q + g], axis=0, where=_OFF_DIAGONAL[:g, :g],
+                              initial=np.inf, out=group[q:q + g])
+            if q:
+                np.minimum(least, group_least, out=least)
+            return out
+
+        _pairwise_sum(rivals, 0, m, total, partials, scratch)
+        unanimous = least > 0.0
+        # a unanimous row, at most one per instance, outranks every total
+        np.copyto(total, np.inf, where=unanimous)
+        winners[lo:lo + c] = total.argmax(axis=0)
+        n_fallback += c - int(np.count_nonzero(unanimous))
     return winners, n_fallback
+
+
+def _pairwise_sum(columns, lo, n, out, partials, scratch):
+    """Sum of columns lo..lo+n into out, in numpy's pairwise summation order.
+
+    columns(q, g, dst) writes columns q..q+g into dst, (g, ...), and returns
+    it; partials and scratch have room for eight columns.  np.add.reduce
+    sums a row as numpy's pairwise_sum does (Higham, SIAM J. Sci. Comput.
+    14(4), 1993): a row longer than _PAIRWISE_BLOCK splits at half its
+    length, rounded down to a multiple of 8, and each part is summed alone;
+    a shorter row of n >= 8 starts eight partial sums with its first eight
+    columns, adds each later group of eight into them, combines them as
+    ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)) and adds its last n mod 8 columns
+    one by one; one under 8 long is summed left to right; and the reduction
+    adds the sum to a 0.0 start.  So out equals np.add.reduce over those
+    columns bit for bit, and an argmax over such sums decides the same.
+    """
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(columns, lo, half, out, partials, scratch)
+        right = _pairwise_sum(columns, lo + half, n - half, np.empty_like(out),
+                              partials, scratch)
+        return np.add(out, right, out=out)
+    full = n - n % 8 if n >= 8 else 0
+    if full:
+        columns(lo, 8, partials)
+        for q in range(lo + 8, lo + full, 8):
+            partials += columns(q, 8, scratch)
+        np.add(partials[0::2], partials[1::2], out=partials[0::2])
+        np.add(partials[0::4], partials[2::4], out=partials[0::4])
+        np.add(partials[0], partials[4], out=out)
+    else:
+        out.fill(0.0)
+    if full < n:
+        for col in columns(lo + full, n - full, scratch[:n - full]):
+            out += col
+    if full:
+        out += 0.0  # numpy's start value: a sum of -0.0 terms is 0.0
+    return out
 
 
 def _relay_count(spec, kind, y_rd, rd_noise_vars, cfg):
@@ -369,9 +438,7 @@ def _certify(z0, zr, sd_noise_var, rd_noise_vars, points, thresholds):
     decoder's decision on it is then k0 (module docstring).
     """
     m = len(points)
-    # rint(-angle M / 2 pi) lies in [-M/2, M/2]; negative values index from
-    # the end, so the neighbours need no reduction modulo M
-    k0 = np.rint(np.angle(z0) * (-m / (2.0 * math.pi))).astype(np.int64)
+    k0 = psk_sector(z0, m)
     x0 = points[k0]
     margin = np.real(z0 * x0) / sd_noise_var
     prev = np.real(z0 * points[k0 - 1]) / sd_noise_var
@@ -392,7 +459,6 @@ def _certify(z0, zr, sd_noise_var, rd_noise_vars, points, thresholds):
         scale += w_abs
     scale += 1.0
     scale *= _CERT_SLACK
-    k0 %= m
     return k0, margin > scale
 
 

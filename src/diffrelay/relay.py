@@ -72,9 +72,21 @@ def demod_psk_frame(y: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     if spec.kind != "psk":
         raise ValueError(f"expected a psk constellation, got {spec.kind!r}")
     y = np.asarray(y)
-    z = np.conj(y[..., 1:]) * y[..., :-1]
-    k = np.rint(np.angle(z) * (-spec.M / (2.0 * math.pi)))
-    return k.astype(np.int64) % spec.M
+    return psk_sector(np.conj(y[..., 1:]) * y[..., :-1], spec.M)
+
+
+def psk_sector(z, m: int) -> np.ndarray:
+    """rint(-angle(z) M / 2 pi) mod M: the M-PSK point nearest in phase to conj(z).
+
+    The rounded value lies in [-M/2, M/2], so it is shifted by M while still
+    a float and reduced by a table of 2M residues: about 2 ns an element,
+    where numpy's int64 modulo of the signed values takes about 10.
+    """
+    k = np.angle(z)
+    k *= -m / (2.0 * math.pi)
+    np.rint(k, out=k)
+    k += m
+    return (np.arange(2 * m) % m)[k.astype(np.int64)]
 
 
 @functools.lru_cache(maxsize=16)

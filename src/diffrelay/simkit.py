@@ -10,13 +10,15 @@ channel draw.
 
 A simulation call takes a list of batches and runs in stages over one stack
 of frames: symbols; every link's draws (one stream per batch and link, gain
-first, noise second); encode; one channel product for the links that carry
-the source's frame (direct, and source-relay unless ``sr_infinite``); the
-relays; one for the relay-destination links; decode; count.  One link list
-pairs each stack row with its stream purpose.  A QAM round runs one
-contiguous share of batches per worker, so its sequential chains pay their
-per-symbol overhead once per share; PSK, whose kernels gain nothing from
-larger stacks, runs one batch per call.
+first, noise second), written into the stack in place; encode; one channel
+product for the links that carry the source's frame (direct, and
+source-relay unless ``sr_infinite``); the relays; one for the
+relay-destination links; decode; count.  A channel product goes link by
+link through one reused buffer.  One link list pairs each stack row with
+its stream purpose.  A QAM round runs one contiguous share of batches per
+worker, so its sequential chains pay their per-symbol overhead once per
+share; PSK, whose kernels gain nothing from larger stacks, runs one batch
+per call.
 """
 
 from __future__ import annotations
@@ -314,18 +316,25 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
     for batch, sl, n in rows:
         for row, (link, purpose) in enumerate(links):
             rng = make_stream(plan.seed, index, batch, purpose)
-            gains[row, sl] = draw_block_gain(link, rng, size=n)
+            draw_block_gain(link, rng, size=n, out=gains[row, sl])
             if not plan.zero_noise:
-                y[row, sl] = draw_noise(link.noise_var, rng, size=(n, length + 1))
+                draw_noise(link.noise_var, rng, size=(n, length + 1), out=y[row, sl])
+
+    product = np.empty(y.shape[1:], dtype=complex)
+
+    def add_channel(rows, v):
+        """y[row] += h v for each of the rows, through one reused buffer."""
+        for row, v_row in zip(rows, np.broadcast_to(v, (len(rows),) + product.shape)):
+            y[row] += np.multiply(gains[row, :, None], v_row, out=product)
 
     v_s = (encode_psk_frame if spec.kind == "psk" else encode_qam_frame)(idx, spec)
-    y[:1 + n_sr] += gains[:1 + n_sr, :, None] * v_s
+    add_channel(range(1 + n_sr), v_s)
     # sr_infinite relays decide without error and forward the source's frame
     v_r, relay_decisions = v_s, np.broadcast_to(idx, (plan.n_relays,) + idx.shape)
     if n_sr:
         v_r, relay_decisions = relay_process_frame(y[1:1 + n_sr], spec, noise_var[1:1 + n_sr, None])
+    add_channel(range(1 + n_sr, len(links)), v_r)
     y_rd, rd_nvs = y[1 + n_sr:], noise_var[1 + n_sr:]
-    y_rd += gains[1 + n_sr:, :, None] * v_r
 
     if spec.kind == "psk":
         decoded, fallbacks = decode_psk_frames(y[0], y_rd, noise_var[0], rd_nvs, spec, decoder_cfg)

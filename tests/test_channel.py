@@ -80,6 +80,34 @@ class TestBlockGain:
         assert abs(np.mean(h.real * h.imag)) < 0.005
 
 
+class TestDrawsInPlace:
+    """Draws written into a given array match rng.normal's, bit for bit."""
+
+    @pytest.mark.parametrize("size", [None, 7, (3, 5)])
+    def test_same_draws_as_normal(self, size):
+        for draw, var in ((draw_noise, 0.3), (lambda v, rng, **kw: draw_block_gain(
+                LinkParams(v, 1.0), rng, **kw), 0.7)):
+            rng = make_stream(8, 1)
+            scale = np.sqrt(var / 2.0)
+            expect = rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
+            after = rng.standard_normal()
+            rng = make_stream(8, 1)
+            got = draw(var, rng, size=size)
+            assert rng.standard_normal() == after  # the same draws consumed
+            np.testing.assert_array_equal(np.reshape(got, -1).view(np.int64),
+                                          np.reshape(expect, -1).view(np.int64))
+            if size is not None:
+                stack = np.zeros((3,) + np.shape(got), dtype=complex)
+                row = stack[1]
+                assert draw(var, make_stream(8, 1), size=size, out=row) is row
+                np.testing.assert_array_equal(row.view(np.int64), got.view(np.int64))
+                assert not stack[0].any() and not stack[2].any()
+
+    def test_out_must_match_size(self):
+        with pytest.raises(ValueError):
+            draw_noise(0.1, make_stream(8, 2), size=3, out=np.empty(4, dtype=complex))
+
+
 class TestTransmit:
     # a link's output is y = h * v + e, as the simulator forms it
 

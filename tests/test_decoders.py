@@ -24,7 +24,7 @@ from diffrelay.channel import LinkParams, draw_block_gain, draw_noise, make_stre
 from diffrelay.constellation import make_psk, make_qam
 from diffrelay.decoders import (
     _CERT_PROBE,
-    _FALLBACK_CHUNK,
+    _FALLBACK_ELEMENTS,
     _PSK_BLOCK,
     DecoderConfig,
     _certify,
@@ -32,6 +32,7 @@ from diffrelay.decoders import (
     _counted_pl_decode,
     _fallback,
     _mixture_log_scores,
+    _pairwise_sum,
     _sweep,
     _tournament,
     clip_threshold,
@@ -946,9 +947,14 @@ class TestOneRelayRule:
             assert got[1] == expect[1]
 
 
+# the fallback's instances per chunk at M = 3, the alphabet of the cyclic
+# relays below; the tests take counts inside one chunk and at its edges
+CHUNK_M3 = _FALLBACK_ELEMENTS // 3
+
+
 class TestFallbackChunks:
-    @pytest.mark.parametrize("n", [_FALLBACK_CHUNK - 1, _FALLBACK_CHUNK, _FALLBACK_CHUNK + 1,
-                                   2 * _FALLBACK_CHUNK, 2 * _FALLBACK_CHUNK + 1])
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, CHUNK_M3 - 1, CHUNK_M3, CHUNK_M3 + 1,
+                                   2 * CHUNK_M3, 2 * CHUNK_M3 + 1])
     def test_counts_straddling_a_chunk(self, n):
         # three relays ranking three candidates cyclically: every instance
         # lacks a unanimous winner, so all n take the fallback
@@ -961,12 +967,12 @@ class TestFallbackChunks:
         assert got[1] == expect[1] == n
         np.testing.assert_array_equal(got[0], expect[0])
 
-    @pytest.mark.parametrize("n", [_FALLBACK_CHUNK - 1, _FALLBACK_CHUNK, _FALLBACK_CHUNK + 1,
-                                   2 * _FALLBACK_CHUNK + 1])
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, CHUNK_M3 - 1, CHUNK_M3, CHUNK_M3 + 1,
+                                   2 * CHUNK_M3 + 1])
     def test_mixed_chunks_count_only_instances_without_a_winner(self, n):
         # the cyclic relays again, but about half the instances give one
         # candidate a direct-link lead (5) beyond the relays' clipped sum
-        # (4.5): those have a unanimous winner, which the tables must find
+        # (4.5): those have a unanimous winner, which the fallback must find
         rng = make_stream(47, n)
         cyclic = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
         rels = cyclic + rng.uniform(-0.05, 0.05, size=(n, 3, 3))
@@ -978,6 +984,75 @@ class TestFallbackChunks:
         expect = pairwise_select_bruteforce(base, rels, (1.5, 1.5, 1.5))
         assert n_fallback == expect[1] == n - lead.size
         np.testing.assert_array_equal(winners, expect[0])
+
+
+def pairwise_sum_rows(x):
+    """_pairwise_sum over the columns of x (rows, n), fed one group at a time."""
+    rows, n = x.shape
+
+    def columns(q, g, dst):
+        dst[...] = x.T[q:q + g]
+        return dst
+
+    out = np.empty(rows)
+    return _pairwise_sum(columns, 0, n, out, np.empty((8, rows)), np.empty((8, rows)))
+
+
+def left_to_right(x):
+    total = np.zeros(x.shape[0])
+    for col in x.T:
+        total += col
+    return total
+
+
+class TestPairwiseOrder:
+    """The fallback's row totals add in numpy's own pairwise order."""
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 64, 127, 128, 129, 200])
+    def test_equals_numpy_reduction_bit_for_bit(self, n):
+        # magnitudes spread over many orders, so any other grouping of the
+        # additions rounds differently on some row; this fails if numpy's
+        # summation order changes
+        rng = make_stream(48, n)
+        x = np.exp(rng.normal(0.0, 5.0, size=(200, n))) * rng.choice([-1.0, 1.0], size=(200, n))
+        x[0] = -0.0  # numpy starts its sum at 0.0, so this row sums to 0.0
+        x[1] = 0.0
+        got = pairwise_sum_rows(x)
+        expect = np.add.reduce(x, axis=-1)
+        np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
+        if n > 8:  # the test can tell the orders apart
+            assert not np.array_equal(left_to_right(x), expect)
+
+
+class TestFallback:
+    """_fallback decides as the all-pairs rule does, the instance chunks included."""
+
+    @staticmethod
+    def cases(rng, m, n_rel, n):
+        """(base (n, M), rels (n, R, M), thresholds) cases for the fallback."""
+        thresholds = [(1.5, 0.7, 2.2)[:n_rel], (math.inf,) * n_rel, (-0.5, 1.0, -0.2)[:n_rel]]
+        for thr in thresholds[:1 if n_rel == 0 else 3]:
+            yield (rng.normal(scale=0.3, size=(n, m)),
+                   rng.normal(scale=2.0, size=(n, n_rel, m)), thr)
+            # exact ties everywhere
+            yield (rng.integers(-3, 4, size=(n, m)).astype(float),
+                   rng.integers(-4, 5, size=(n, n_rel, m)).astype(float), thr)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 16, 32, 136])
+    @pytest.mark.parametrize("n_rel", [0, 1, 3])
+    def test_matches_all_pairs_rule(self, n_rel, m):
+        # T < 0 makes np.clip return the constant T, so lam is not
+        # antisymmetric; the instances end inside one chunk and one past it;
+        # rows of 136 split in numpy's pairwise order
+        chunk = _FALLBACK_ELEMENTS // m
+        rng = make_stream(49, m, n_rel)
+        for n in (chunk - 1, chunk + 1):
+            for base, rels, thr in self.cases(rng, m, n_rel, n):
+                winners, n_fallback = _fallback(np.ascontiguousarray(base.T),
+                                                np.ascontiguousarray(rels.T), thr)
+                expect = pairwise_select_bruteforce(base, rels, thr)
+                np.testing.assert_array_equal(winners, expect[0])
+                assert n_fallback == expect[1]
 
 
 def traced_peak_bytes(fn):

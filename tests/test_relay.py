@@ -20,6 +20,7 @@ from diffrelay.relay import (
     demod_psk_frame,
     demod_qam_frame,
     load_epsilon_table,
+    psk_sector,
     qam_objective,
     relay_process_frame,
     save_epsilon_table,
@@ -121,6 +122,19 @@ class TestDemodPsk:
             expect = np.argmax(np.real(z[..., None] * spec.points), axis=-1)
             np.testing.assert_array_equal(demod_psk_frame(y, spec), expect)
         np.testing.assert_array_equal(demod_psk_frame(h * v, spec), idx)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 16, 32])
+    def test_sector_equals_floor_modulo(self, m):
+        # random pair products, and phases on and within 1e-12 rad of every
+        # sector edge (where the rounding flips) and of +-pi
+        rng = make_stream(5, m)
+        edges = -(np.arange(-m, m + 1) + 0.5) * (2.0 * math.pi / m)
+        phases = np.concatenate([edges + d for d in (-1e-12, 0.0, 1e-12)]
+                                + [[-math.pi, math.pi, 0.0]])
+        z = np.concatenate([rng.normal(size=5000) + 1j * rng.normal(size=5000),
+                            np.exp(1j * phases) * rng.uniform(0.1, 10.0, size=phases.size)])
+        expect = np.rint(np.angle(z) * (-m / (2.0 * math.pi))).astype(np.int64) % m
+        np.testing.assert_array_equal(psk_sector(z, m), expect)
 
     def test_error_rate_matches_density_integration(self):
         # Independent oracle: integrate the conditional differential-detection
