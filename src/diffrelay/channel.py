@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _STREAM_SALT = 0x9E3779B97F4A7C15
+_CALIBRATION_SALT = 0xC2B2AE3D27D4EB4F
 _MASK64 = (1 << 64) - 1
 
 
@@ -34,11 +35,13 @@ class LinkParams:
         return self.sigma2 / self.noise_var
 
 
-def make_stream(seed: int, *path: int) -> np.random.Generator:
+def make_stream(seed: int, *path: int, salt: int = _STREAM_SALT) -> np.random.Generator:
     """Counter-based random stream addressed by (seed, path).
 
     Identical arguments always produce the identical draw sequence, on any
-    worker; distinct paths give statistically independent streams.
+    worker; distinct paths give statistically independent streams.  The
+    salt is the second word of the key: every simulation stream has the
+    default, so a stream with another salt shares no address with any.
     """
     if len(path) > 3:
         raise ValueError(f"stream path supports at most 3 components, got {len(path)}")
@@ -47,8 +50,19 @@ def make_stream(seed: int, *path: int) -> np.random.Generator:
         if part < 0:
             raise ValueError(f"stream path components must be >= 0, got {part}")
         counter[1 + i] = int(part) & _MASK64
-    key = [int(seed) & _MASK64, _STREAM_SALT]
+    key = [int(seed) & _MASK64, salt]
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def calibration_stream(seed: int, kind: str, m: int, snr_db: float) -> np.random.Generator:
+    """Monte Carlo epsilon calibration stream addressed by (seed, kind, M, SNR).
+
+    The SNR enters in millionths of a dB, as a 64-bit two's complement, so
+    a negative dB value has a stream of its own; a salt of its own keeps
+    every calibration stream apart from the simulation streams.
+    """
+    snr_code = round(snr_db * 1e6) & _MASK64
+    return make_stream(seed, ("psk", "qam").index(kind), m, snr_code, salt=_CALIBRATION_SALT)
 
 
 def draw_block_gain(link: LinkParams, rng: np.random.Generator, size=None, out=None):

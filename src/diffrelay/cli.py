@@ -23,7 +23,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
 import yaml
 
 from .analysis import (
@@ -35,7 +34,7 @@ from .analysis import (
     pep_quadrature_approx,
     ser_nearest_neighbor,
 )
-from .channel import LinkParams
+from .channel import LinkParams, calibration_stream
 from .constellation import make_psk, make_qam
 from .decoders import DecoderConfig, count_ops
 from .relay import calibrate_epsilon, load_epsilon_table, save_epsilon_table
@@ -110,6 +109,13 @@ def _integer(value, where):
     ):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _flag(value, where):
+    """A YAML boolean; a string such as "off" or a number is refused."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
 def _grid_from(value, where):
@@ -306,7 +312,8 @@ def load_config(path, *, seed=None, output_dir=None):
             grid = _grid_from(doc["grid_db"], "config.grid_db")
             analysis = doc.get("analysis", {})
             _check_keys(analysis, _ANALYSIS_KEYS, "config.analysis")
-            toggles = {k: bool(analysis.get(k, False)) for k in _ANALYSIS_KEYS}
+            toggles = {k: _flag(analysis.get(k, False), f"config.analysis.{k}")
+                       for k in _ANALYSIS_KEYS}
             n_relays = _integer(doc.get("n_relays", 1), "config.n_relays")
             tying = doc.get("tying", "all_equal")
             sr_offsets, rd_offsets = (_numbers(doc.get(key, ()), f"config.{key}")
@@ -341,7 +348,7 @@ def load_config(path, *, seed=None, output_dir=None):
                     n_relays=n_relays, tying=tying,
                     sr_offsets=sr_offsets, rd_offsets=rd_offsets,
                     sr_eps=doc.get("sr_eps", "configured"),
-                    zero_noise=bool(doc.get("zero_noise", False)),
+                    zero_noise=_flag(doc.get("zero_noise", False), "config.zero_noise"),
                     **toggles,
                 ),
             )
@@ -397,11 +404,11 @@ def cmd_calibrate(config):
     violations = 0
     for kind, m in sorted(specs):
         spec = specs[(kind, m)]
-        for i, snr_db in enumerate(cal.grid_db):
+        for snr_db in cal.grid_db:
             link = LinkParams(1.0, 10.0 ** (-snr_db / 10.0))
             est = calibrate_epsilon(
                 link, spec, method=cal.method, trials=cal.trials,
-                rng=np.random.default_rng((config.seed, 1000 + i)),
+                rng=calibration_stream(config.seed, kind, m, snr_db),
                 target_std_err=cal.target_std_err,
             )
             status = "ok"
@@ -722,6 +729,16 @@ def cmd_complexity(sizes, output=None):
 # entry point
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="diffrelay",
@@ -737,7 +754,7 @@ def _build_parser():
         p.add_argument("--output-dir", default=None,
                        help=f"override output directory (or ${OUTPUT_DIR_ENV})")
         if verb == "sweep":
-            p.add_argument("--workers", type=int, default=1,
+            p.add_argument("--workers", type=_positive_int, default=1,
                            help="parallel batches per grid point")
 
     p = sub.add_parser("complexity")

@@ -16,37 +16,31 @@ from the true values (genie reference).  The decoders take whole frames and
 carry the previous symbol as a row index into the relay module's ring table,
 so every QAM score is a table lookup (``relay.qam_objective``).
 
-Kernel layouts.  Scores keep candidates last, (..., M), and relays first,
-(R, ..., M), so the ML mixture reduces over contiguous rows.  The pairwise
-tournament names and verifies its candidates candidate-major, (M, n) and
-(M, R, n); the sweep carries its champion's values instead of gathering
-them.  The instances that fail verification are resolved from the same
-candidate-major arrays, in chunks of instances and groups of eight rivals,
-(8, M, chunk), with no table of every pair.  Each instance's winner without
-a unanimous row is the argmax of its row totals, and rounding decides near
-ties, so the totals are added in numpy's own pairwise order (Higham, SIAM
-J. Sci. Comput. 14(4), 1993), the order a row sum over a table takes:
-summed rival by rival, left to right, they changed 22 of 2,000 decisions
-on exact-tie inputs.
+Kernel layouts.  Both decoders score candidate-major, (M, n) for the direct
+link and (M, R, n) for the relays, and decide in one step, _decide.  ML adds
+each relay's log mixture and takes the first largest row; PL names a
+candidate, verifies it once and resolves the instances that fail in chunks
+of instances and groups of eight rivals, (8, M, chunk), with no table of
+every pair.  The mixture's maximum down the candidate axis is exact.  Its
+sum of exponentials and the fallback's row totals are added in numpy's own
+pairwise order (Higham, SIAM J. Sci. Comput. 14(4), 1993), the order of a
+row sum over a candidates-last table, since rounding decides near ties:
+summed rival by rival, left to right, the totals changed 22 of 2,000
+decisions on exact-tie inputs.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
 scored _PSK_BLOCK pairs at a time.  QAM frames run one loop over symbols
-that advances every chain together: each step scores the relay links once,
-(R, B, M), takes the destination's estimate of each relay's decision from
-those scores, and combines them with the direct link's, so the working set
-is one step's scores.  B may be a worker's whole share of a round, so the
-loop's overhead is paid once per share.  Blocking changes no element's
-arithmetic, so every decision is the same for any block size.  The kernels
-write their (M, n), (M, R, n) and (8, M, chunk) arrays with out= into one
-workspace per thread (_Workspace): a flat array per role that grows to the
-largest block it has served and is handed out as views, so a warmed thread
-decodes a batch without block-sized allocations, which the allocator would
-return to the operating system and fault in again every batch.  The
-workspace holds one block's arrays (one symbol step's, for QAM) per thread
-and is freed with the thread; run_point's pool threads build theirs once
-per point.  Every element keeps its arithmetic and operand order, so no
-decision moves.
+that advances every chain together (decode_qam_frames), so the working set
+is one step's scores; B may be a worker's whole share of a round, so the
+loop's overhead is paid once per share.  The kernels write their arrays
+with out= into one workspace per thread (_Workspace): a flat array per role
+that grows to the largest block it has served and is handed out as views,
+so a warmed thread decodes a batch without block-sized allocations, which
+the allocator would return to the operating system and fault in again
+every batch.  It is freed with the thread; run_point's pool threads build
+theirs once per point.  Neither the blocks nor the workspace change any
+element's arithmetic or operand order, so no decision moves.
 
 Certificates.  Most PSK decisions are proved without the M-wide kernel.
 With a = Re(z0 x)/sigma0^2 the direct link's statistics and b_r relay r's,
@@ -124,9 +118,8 @@ class _Workspace(threading.local):
     Each role's flat array grows to the largest request it has served and is
     handed out as a C-contiguous view.  A role belongs to one kernel, and
     nothing handed out outlives the call that asked for it, except the
-    ``mix`` view ``_mixture_log_scores`` returns to be summed at once.  The
-    ML and PL branches of ``decode_psk_frames`` share ``relays``, which
-    holds one relay's statistics for ML and all relays' for PL.
+    ``mix`` view ``_mixture_log_scores`` returns to be summed at once.  Both
+    decoders fill ``base`` (M, n) and ``relays`` (M, R, n) for every kind.
     """
 
     def __init__(self):
@@ -185,38 +178,47 @@ def _pair_products(y):
 def _psk_statistics(z, points, noise_var, out):
     """Per-candidate correlation statistics of the pair products z (n,).
 
-    Writes Re(z x_k) / noise_var into out, (n, M), or (M, n) when points is
-    a column (candidate-major), and returns it.  The product keeps the order
-    z * x: numpy's complex multiply may fuse, so x * z can differ in the
-    last bit.
+    Writes Re(z x_k) / noise_var into out, (M, n), for the column of points
+    (M, 1), and returns it.  The product keeps the order z * x: numpy's
+    complex multiply may fuse, so x * z can differ in the last bit.
     """
     prod = _WORKSPACE.take("products", out.shape, complex)
-    np.multiply(z if points.ndim > 1 else z[:, None], points, out=prod)
+    np.multiply(z, points, out=prod)
     return np.divide(prod.real, noise_var, out=out)
 
 
 def _mixture_log_scores(scores, eps):
     """Log of the right-or-wrong relay mixture applied to one relay's scores.
 
-    scores has candidates on the last axis; entry k of the result is the log
-    of (1-eps) exp(scores[k]) + eps/(M-1) sum over i != k of exp(scores[i]),
-    evaluated as mx + log((1-eps) e_k + w (S - e_k)) with mx the largest
-    score, e = exp(scores - mx) and S the sum of e.  With eps > 0 the result
-    is the thread's ``mix`` workspace, valid until the next call.
+    scores has candidates on the first axis; entry k of the result is the
+    log of (1-eps) exp(scores[k]) + eps/(M-1) sum over i != k of
+    exp(scores[i]), evaluated as mx + log((1-eps) e_k + w (S - e_k)) with mx
+    the largest score, e = exp(scores - mx) and S the sum of e in numpy's
+    pairwise order.  With eps > 0 the result is the thread's ``mix``
+    workspace, valid until the next call.
     """
     scores = np.asarray(scores, dtype=float)
     if eps == 0.0:
         return scores
-    # a columnwise maximum is exact and much faster than a reduction over the
-    # short candidate axis
-    mx = scores[..., :1].copy()
-    for k in range(1, scores.shape[-1]):
-        np.maximum(mx, scores[..., k:k + 1], out=mx)
-    e = np.subtract(scores, mx, out=_WORKSPACE.take("mix_exp", scores.shape))
+    m = scores.shape[0]
+    work = _WORKSPACE.take("mix_exp", (m + 10,) + scores.shape[1:])
+    e, partials, total, mx = work[:m], work[m:m + 8], work[m + 8:m + 9], work[m + 9:]
+    # a maximum down the candidate axis is exact in any order
+    np.max(scores, axis=0, keepdims=True, out=mx)
+    np.subtract(scores, mx, out=e)
     np.exp(e, out=e)
-    mix = np.subtract(e.sum(axis=-1, keepdims=True), e,
-                      out=_WORKSPACE.take("mix", scores.shape))
-    mix *= eps / (scores.shape[-1] - 1)
+
+    def rows(q, g, dst):
+        # partials are added into, so the rows that start them are copied;
+        # later rows are read in place, and no scratch is written
+        if dst is partials:
+            np.copyto(dst, e[q:q + g])
+            return dst
+        return e[q:q + g]
+
+    _pairwise_sum(rows, 0, m, total, partials, partials[:0])
+    mix = np.subtract(total, e, out=_WORKSPACE.take("mix", scores.shape))
+    mix *= eps / (m - 1)
     e *= 1.0 - eps
     mix += e
     np.log(mix, out=mix)
@@ -275,26 +277,31 @@ def _tournament(base, rels, thresholds):
 
 def _one_relay_candidate(base, rels, thr):
     """The one-relay rule's candidate (module docstring) and its values, (champ, cb, cr)."""
-    m, n = base.shape
     mask = np.greater(base, base.max(axis=0) - thr[0],
-                      out=_WORKSPACE.take("mask", (m, n), bool))
+                      out=_WORKSPACE.take("mask", base.shape, bool))
     # c starts as 0 where mask holds and -inf elsewhere, written as bits: a
     # masked write branches on every element, and at low SNR the branch is a
     # coin flip.  The statistics are finite, so 0 + a + b compares as a + b
-    c = _WORKSPACE.take("cand", (m, n))
+    c = _WORKSPACE.take("cand", base.shape)
     bits = np.subtract(mask, 1, dtype=np.int64, out=c.view(np.int64))
     np.bitwise_and(bits, _NEG_INF_BITS, out=bits)
     c += base
     c += rels[:, 0]
-    # the first row holding the column's largest c; reductions down the
-    # candidate axis are fast, an argmax over it is not.  The row numbers
-    # overwrite c, exact as floats
-    np.less(c, c.max(axis=0), out=mask)
-    c[...] = np.arange(m)[:, None]
-    np.copyto(c, m - 1, where=mask)
-    champ = c.min(axis=0).astype(np.int64)
+    champ = _first_max_row(c)
     return (champ, np.take_along_axis(base, champ[None], axis=0)[0],
             np.take_along_axis(rels, champ[None, None], axis=0)[0])
+
+
+def _first_max_row(a):
+    """Each column's first row holding its largest value, (n,); overwrites a.
+
+    Reductions down the candidate axis are fast, an argmax over it is not.
+    The row numbers overwrite a, exact as floats.
+    """
+    below = np.less(a, a.max(axis=0), out=_WORKSPACE.take("mask", a.shape, bool))
+    a[...] = np.arange(len(a))[:, None]
+    np.copyto(a, len(a) - 1, where=below)
+    return a.min(axis=0).astype(np.int64)
 
 
 def _sweep(base, rels, thr):
@@ -382,13 +389,14 @@ def _fallback(base, rels, thresholds):
 def _pairwise_sum(columns, lo, n, out, partials, scratch):
     """Sum of columns lo..lo+n into out, in numpy's pairwise summation order.
 
-    columns(q, g, dst) writes columns q..q+g into dst, (g, ...), and returns
-    it; partials and scratch have room for eight columns.  np.add.reduce
-    sums a row as numpy's pairwise_sum does (Higham, SIAM J. Sci. Comput.
-    14(4), 1993): a row longer than _PAIRWISE_BLOCK splits at half its
-    length, rounded down to a multiple of 8, and each part is summed alone;
-    a shorter row of n >= 8 starts eight partial sums with its first eight
-    columns, adds each later group of eight into them, combines them as
+    columns(q, g, dst) returns columns q..q+g, (g, ...), written into dst,
+    or read in place unless dst is partials, which are added into; partials
+    and scratch have room for eight columns.  np.add.reduce sums a row as
+    numpy's pairwise_sum does (Higham, SIAM J. Sci. Comput. 14(4), 1993): a
+    row longer than _PAIRWISE_BLOCK splits at half its length, rounded down
+    to a multiple of 8, and each part is summed alone; a shorter row of
+    n >= 8 starts eight partial sums with its first eight columns, adds each
+    later group of eight into them, combines them as
     ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)) and adds its last n mod 8 columns
     one by one; one under 8 long is summed left to right; and the reduction
     adds the sum to a 0.0 start.  So out equals np.add.reduce over those
@@ -416,6 +424,20 @@ def _pairwise_sum(columns, lo, n, out, partials, scratch):
     if full:
         out += 0.0  # numpy's start value: a sum of -0.0 terms is 0.0
     return out
+
+
+def _decide(base, rels, cfg, thresholds):
+    """Decisions (n,) and fallback count from base (M, n) and rels (M, R, n).
+
+    PL runs the pairwise tournament at the relays' clip levels; every other
+    kind adds each relay's log mixture to base, in relay order, and takes
+    the first largest row, with no fallback.  Overwrites base.
+    """
+    if cfg.kind == "pl":
+        return _tournament(base, rels, thresholds)
+    for r, eps in enumerate(cfg.effective_epsilons()):
+        base += _mixture_log_scores(rels[:, r], eps)
+    return _first_max_row(base), 0
 
 
 def _relay_count(spec, kind, y_rd, rd_noise_vars, cfg):
@@ -477,10 +499,8 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     z0 = _pair_products(y_sd).ravel()
     zr = _pair_products(y_rd).reshape(n_rel, z0.size)
     decisions = np.empty(z0.size, dtype=np.int64)
-    pl = cfg.kind == "pl"
-    points = spec.points[:, None] if pl else spec.points
+    points = spec.points[:, None]
     thresholds = cfg.resolved_thresholds(spec.M)
-    epsilons = cfg.effective_epsilons()
     rest = np.arange(z0.size)
     if all(t >= 0.0 for t in thresholds):
         rest = _certified_rest(z0, zr, sd_noise_var, rd_noise_vars, spec.points,
@@ -488,19 +508,13 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     n_fallback = 0
     for lo in range(0, rest.size, _PSK_BLOCK):
         blk = rest[lo:lo + _PSK_BLOCK]
-        shape = (spec.M, blk.size) if pl else (blk.size, spec.M)
-        base = _psk_statistics(z0[blk], points, sd_noise_var, _WORKSPACE.take("base", shape))
-        if pl:
-            rels = _WORKSPACE.take("relays", (spec.M, n_rel, blk.size))
-            for r, nv in enumerate(rd_noise_vars):
-                _psk_statistics(zr[r, blk], points, nv, rels[:, r])
-            decisions[blk], nf = _tournament(base, rels, thresholds)
-            n_fallback += nf
-        else:
-            rel = _WORKSPACE.take("relays", shape)
-            for z, nv, eps in zip(zr, rd_noise_vars, epsilons):
-                base += _mixture_log_scores(_psk_statistics(z[blk], points, nv, rel), eps)
-            decisions[blk] = np.argmax(base, axis=-1)
+        base = _psk_statistics(z0[blk], points, sd_noise_var,
+                               _WORKSPACE.take("base", (spec.M, blk.size)))
+        rels = _WORKSPACE.take("relays", (spec.M, n_rel, blk.size))
+        for r, nv in enumerate(rd_noise_vars):
+            _psk_statistics(zr[r, blk], points, nv, rels[:, r])
+        decisions[blk], nf = _decide(base, rels, cfg, thresholds)
+        n_fallback += nf
     return decisions.reshape(y_sd.shape[:-1] + (-1,)), n_fallback
 
 
@@ -525,16 +539,8 @@ def _certified_rest(z0, zr, sd_noise_var, rd_noise_vars, points, thresholds, dec
     return np.concatenate(rest)
 
 
-def decode_qam_frames(
-    y_sd,
-    y_rd,
-    sd_noise_var,
-    rd_noise_vars,
-    spec,
-    cfg,
-    true_source_idx=None,
-    true_relay_idx=None,
-):
+def decode_qam_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg,
+                      true_source_idx=None, true_relay_idx=None):
     """Decode whole QAM frames, running the magnitude feedback chains.
 
     y_sd has shape (B, L+1) and y_rd shape (R, B, L+1).  Decision-directed
@@ -548,8 +554,8 @@ def decode_qam_frames(
     links once, (R, B, M); for decision-directed kinds the argmin of those
     scores is the destination's estimate of each relay's decision, which
     gives the relay links' next rows exactly as ``relay.demod_qam_frame``
-    run on y_rd would.  The negated scores are then combined with the direct
-    link's to decide the symbol.
+    run on y_rd would.  The negated scores, candidate-major like the direct
+    link's, then decide the symbol.
     """
     y_sd = np.asarray(y_sd)
     y_rd = np.asarray(y_rd)
@@ -559,27 +565,21 @@ def decode_qam_frames(
         raise ValueError("genie_reference decoding requires the true indices")
     n_batch, n_data = y_sd.shape[0], y_sd.shape[1] - 1
     rd_nv = np.reshape(np.asarray(rd_noise_vars, dtype=float), (n_rel, 1))
-    pl = cfg.kind == "pl"
     thresholds = cfg.resolved_thresholds(spec.M)
-    epsilons = cfg.effective_epsilons()
     decisions = np.empty((n_batch, n_data), dtype=np.int64)
     row = np.zeros(n_batch, dtype=np.int64)
     relay_row = np.zeros((n_rel, n_batch), dtype=np.int64)
     n_fallback = 0
+    base = _WORKSPACE.take("base", (spec.M, n_batch))
+    rels = _WORKSPACE.take("relays", (spec.M, n_rel, n_batch))
     for n in range(n_data):
-        rels = qam_objective(y_rd[..., n], y_rd[..., n + 1], rd_nv, spec, relay_row)
-        relay_row = (true_relay_idx[..., n] if genie else np.argmin(rels, axis=-1)) + 1
-        np.negative(rels, out=rels)
-        base = qam_objective(y_sd[:, n], y_sd[:, n + 1], sd_noise_var, spec, row)
-        np.negative(base, out=base)
-        if pl:
-            decisions[:, n], nf = _tournament(
-                base.T.copy(), rels.transpose(2, 0, 1).copy(), thresholds)
-            n_fallback += nf
-        else:
-            for sc, eps in zip(rels, epsilons):
-                base += _mixture_log_scores(sc, eps)
-            decisions[:, n] = np.argmax(base, axis=-1)
+        scores = qam_objective(y_rd[..., n], y_rd[..., n + 1], rd_nv, spec, relay_row)
+        relay_row = (true_relay_idx[..., n] if genie else np.argmin(scores, axis=-1)) + 1
+        np.negative(scores.transpose(2, 0, 1), out=rels)
+        scores = qam_objective(y_sd[:, n], y_sd[:, n + 1], sd_noise_var, spec, row)
+        np.negative(scores.T, out=base)
+        decisions[:, n], nf = _decide(base, rels, cfg, thresholds)
+        n_fallback += nf
         row = (true_source_idx[:, n] if genie else decisions[:, n]) + 1
     return decisions, n_fallback
 

@@ -482,10 +482,11 @@ def compare_curves(a: SerCurve, b: SerCurve, mode: str = "ratio") -> ComparisonR
     """Pointwise SER ratios, or horizontal dB gaps from a to b.
 
     ``ratio`` reports a/b at common SNRs with the relative CI half-widths
-    combined in quadrature.  ``horizontal_db`` reports, at each successful
-    point of ``a``, how many dB further ``b`` must go to reach the same SER
-    (positive when ``a`` is better), with the gap recomputed at ``a``'s CI
-    edges.
+    combined in quadrature; where a has no errors, that is a's half-width
+    over b's SER, its limit as a's SER goes to 0.  ``horizontal_db``
+    reports, at each successful point of ``a``, how many dB further ``b``
+    must go to reach the same SER (positive when ``a`` is better), with the
+    gap recomputed at ``a``'s CI edges.
     """
     a_ok = {p.snr_db: p for p in a.points if p.failure is None}
     b_ok = {p.snr_db: p for p in b.points if p.failure is None}
@@ -499,7 +500,10 @@ def compare_curves(a: SerCurve, b: SerCurve, mode: str = "ratio") -> ComparisonR
             if pb.ser <= 0.0:
                 continue
             r = pa.ser / pb.ser
-            half = r * math.hypot(_rel_half(pa), _rel_half(pb))
+            if pa.ser > 0.0:
+                half = r * math.hypot(_rel_half(pa), _rel_half(pb))
+            else:
+                half = (pa.ci_high - pa.ci_low) / (2.0 * pb.ser)
             rows.append(ComparisonRow(s, r, max(r - half, 0.0), r + half))
         if not rows:
             raise ValueError("no common point has a positive reference SER")

@@ -18,6 +18,7 @@ from diffrelay.cli import (
     read_rows,
     write_rows,
 )
+from diffrelay.channel import calibration_stream, make_stream
 from diffrelay.constellation import make_psk
 from diffrelay.relay import load_epsilon_table
 
@@ -167,6 +168,25 @@ class TestConfigValidation:
         doc = minimal_doc(n_relays=2.0, seed=4.0)  # whole floats stay accepted
         plan = load_config(write_yaml(tmp_path / "d.yaml", doc)).jobs[0].plan
         assert (plan.n_relays, plan.seed) == (2, 4)
+
+    @pytest.mark.parametrize("value", ["off", "no", 0, 1])
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d, v: d.update(zero_noise=v), "config.zero_noise"),
+        (lambda d, v: d.update(analysis={"closed_form": v}), "config.analysis.closed_form"),
+        (lambda d, v: d.update(analysis={"asymptotic": v}), "config.analysis.asymptotic"),
+    ])
+    def test_flags_take_only_yaml_booleans(self, tmp_path, mutate, where, value):
+        # zero_noise: "off" used to run a noiseless simulation, and
+        # closed_form: "no" to turn the rows on
+        doc = minimal_doc()
+        mutate(doc, value)
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=f"{where} must be true or false"):
+            load_config(path)
+        assert main(["sweep", path]) == 2
+        mutate(doc, False)
+        plan = load_config(write_yaml(tmp_path / "d.yaml", doc)).jobs[0].plan
+        assert plan.zero_noise is False
 
     def test_constellation_size_follows_the_integer_rule(self, tmp_path):
         # M takes the rule of every integer field: a whole float loads,
@@ -397,8 +417,45 @@ class TestCalibrateCommand:
         path = write_yaml(tmp_path / "c.yaml", minimal_doc())
         assert main(["calibrate", path]) == 2
 
+    def test_monte_carlo_epsilon_is_keyed_by_its_snr(self, tmp_path):
+        # a grid point's stream used to follow its position in the grid, so
+        # adding 0 dB in front changed the 10 dB epsilon
+        lines = []
+        for grid in ([10.0], [0.0, 10.0]):
+            doc = minimal_doc()
+            doc["calibration"] = {"path": str(tmp_path / f"eps{len(grid)}.csv"),
+                                  "grid_db": grid, "method": "monte_carlo",
+                                  "trials": 20_000}
+            assert cmd_calibrate(load_config(write_yaml(tmp_path / "c.yaml", doc))) == 0
+            with open(doc["calibration"]["path"]) as fh:
+                lines.append([row for row in fh if ",10.0," in row])
+        assert len(lines[0]) == 1 and lines[0] == lines[1]
+
+    def test_calibration_streams_tell_kind_and_sign_apart(self):
+        def first(*address):
+            return calibration_stream(7, *address).random(4).tobytes()
+
+        draws = {first("psk", 16, 10.0), first("qam", 16, 10.0), first("psk", 16, -10.0),
+                 first("psk", 16, 10.000001), first("psk", 8, 10.0)}
+        assert len(draws) == 5
+        assert first("psk", 16, 10.0) == first("psk", 16, 10.0)
+        simulation = make_stream(7, 0, 16, round(10.0 * 1e6))
+        assert simulation.random(4).tobytes() != first("psk", 16, 10.0)
+
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+        # these used to run one worker without a word
+        doc = minimal_doc()
+        doc["output"] = {"dir": str(tmp_path), "basename": "run"}
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", path, "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_exit_zero_and_files_exist(self, sweep_outputs):
         tmp, code = sweep_outputs
         assert code == 0

@@ -158,16 +158,18 @@ class TestConfig:
 
 
 class TestMixture:
+    """The mixture takes candidate-major scores, (M, ...)."""
+
     def test_matches_direct_evaluation(self):
         rng = make_stream(0, 40)
         for eps in (1e-3, 1e-1, 0.5, 0.9):
-            scores = rng.normal(size=(20, 8))
+            scores = rng.normal(size=(8, 20))
             got = _mixture_log_scores(scores, eps)
             w = eps / 7.0
             expect = np.empty_like(scores)
             for k in range(8):
-                others = np.exp(scores).sum(axis=-1) - np.exp(scores[:, k])
-                expect[:, k] = np.log((1.0 - eps) * np.exp(scores[:, k]) + w * others)
+                others = np.exp(scores).sum(axis=0) - np.exp(scores[k])
+                expect[k] = np.log((1.0 - eps) * np.exp(scores[k]) + w * others)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_zero_eps_identity(self):
@@ -180,11 +182,13 @@ class TestMixture:
         assert np.all(np.isfinite(out))
         assert np.argmax(out) == 0
 
-    @pytest.mark.parametrize("m", [2, 4, 16, 32])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("lead", [(37,), (3, 29)])
     def test_matches_reduction_max_bit_for_bit(self, m, lead):
-        # the columnwise maximum must give exactly the old max-over-axis
-        # formula, exact ties and scores near +-700 included
+        # candidate-major scores must give exactly the instance-major
+        # formula, whose sum runs along each row in numpy's pairwise order,
+        # exact ties and scores near +-700 included; as a view of a relay
+        # axis too, as the decoders pass it
         def reference(scores, eps):
             mx = scores.max(axis=-1, keepdims=True)
             e = np.exp(scores - mx)
@@ -200,11 +204,14 @@ class TestMixture:
         flat[1::5, :] = flat[1::5, :1]  # every candidate tied
         flat[2::7] += rng.choice([-700.0, 700.0], size=(flat[2::7].shape[0], 1))
         flat[4::9, -1] = 699.5
+        major = np.moveaxis(scores, -1, 0)
+        relays = np.stack([major, major], axis=1)
         for eps in (1e-6, 0.05, 0.5):
-            got = _mixture_log_scores(scores, eps)
-            expect = reference(scores, eps)
-            assert got.shape == scores.shape
-            assert got.tobytes() == expect.tobytes()
+            expect = np.moveaxis(reference(scores, eps), -1, 0).tobytes()
+            for given in (np.ascontiguousarray(major), relays[:, 1]):
+                got = _mixture_log_scores(given, eps)
+                assert got.shape == major.shape
+                assert got.tobytes() == expect
 
 
 class TestMlPsk:

@@ -5,6 +5,7 @@ comparisons against independent references use 3-sigma bounds on the
 engine's own cluster-adjusted intervals.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -611,6 +612,25 @@ class TestCurveGeometry:
         b = synthetic_curve([(10.0, 0.0)])
         with pytest.raises(ValueError, match="positive reference SER"):
             compare_curves(a, b, mode="ratio")
+
+    def test_ratio_with_no_errors_is_finite(self):
+        # a zero-error point used to give low = high = NaN, which no JSON
+        # reader accepts; its interval is the formula's limit, [0, half]
+        zero = SerPoint(10.0, 0, 4096, 0.0, *wilson_interval(0, 4096))
+        some = SerPoint(10.0, 50, 4096, 50 / 4096, *wilson_interval(50, 4096))
+        ref = SerPoint(10.0, 40, 4096, 40 / 4096, *wilson_interval(40, 4096))
+        a = SerCurve((zero,), "feed", 0, "pl", 0.0)
+        row = compare_curves(a, SerCurve((some,), "feed", 0, "pl", 0.0)).rows[0]
+        half = (zero.ci_high - zero.ci_low) / (2.0 * some.ser)
+        assert (row.value, row.low, row.high) == (0.0, 0.0, half) and half > 0.0
+        json.dumps([row.value, row.low, row.high], allow_nan=False)
+        # a point with errors keeps the quadrature formula, bit for bit
+        b = SerCurve((ref,), "feed", 0, "pl", 0.0)
+        row = compare_curves(SerCurve((some,), "feed", 0, "pl", 0.0), b).rows[0]
+        r = some.ser / ref.ser
+        half = r * math.hypot((some.ci_high - some.ci_low) / (2.0 * some.ser),
+                              (ref.ci_high - ref.ci_low) / (2.0 * ref.ser))
+        assert (row.value, row.low, row.high) == (r, r - half, r + half)
 
     def test_bad_mode_rejected(self):
         _, curve = small_curve()
