@@ -2,9 +2,11 @@
 
 A run is described by a small YAML document (version 1).  The document
 either spells out one experiment (constellation, decoder, grid, relays)
-or names a figure preset that expands to several; scalar settings given
-next to a preset override every expanded job.  Sweeps emit one CSV of
-curve rows with the fixed column order
+or names a figure preset.  A preset is a list of the same experiment keys,
+one fragment per job, plus its comparisons; every fragment goes through
+the checks of a spelled-out config, and scalar settings given next to a
+preset override every job.  Sweeps emit one CSV of curve rows with the
+fixed column order of ``CSV_COLUMNS``
 
     source,kind,M,N_relays,decoder,snr_db,ser,ci_low,ci_high,errors,trials,seed
 
@@ -21,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import yaml
 
@@ -41,19 +43,27 @@ from .relay import calibrate_epsilon, load_epsilon_table, save_epsilon_table
 from .simkit import (
     ExperimentPlan,
     SerCurve,
+    SerPoint,
     TrialsPolicy,
     compare_curves,
     resolve_epsilons,
     run_sweep,
 )
 
-CSV_COLUMNS = (
-    "source", "kind", "M", "N_relays", "decoder", "snr_db",
-    "ser", "ci_low", "ci_high", "errors", "trials", "seed",
-)
+# column -> type of a curve row, in the CSV's column order
+_CSV_TYPES = {
+    "source": str, "kind": str, "M": int, "N_relays": int, "decoder": str,
+    "snr_db": float, "ser": float, "ci_low": float, "ci_high": float,
+    "errors": int, "trials": int, "seed": int,
+}
+CSV_COLUMNS = tuple(_CSV_TYPES)
 OUTPUT_DIR_ENV = "DIFFRELAY_OUTPUT_DIR"
-PRESETS = ("fig4_psk", "fig4_qam", "fig5", "fig6", "fig7")
 _ANALYSIS_SOURCES = ("closed_form", "quadrature", "asymptotic")
+_COMPARE_MODES = ("ratio", "horizontal_db")
+_SELECTOR_KEYS = ("kind", "M", "N_relays", "decoder", "seed")
+# the SerPoint fields each JSON point reports, in order
+_POINT_FIELDS = ("snr_db", "errors", "trials", "fallbacks", "stop_reason", "rounds",
+                 "deff", "wall_s")
 
 
 class ConfigError(ValueError):
@@ -76,10 +86,37 @@ _PRESET_OVERRIDE_KEYS = {
 _CONSTELLATION_KEYS = {"kind", "M"}
 _DECODER_KEYS = {"kind", "epsilons"}
 _TRIALS_KEYS = {"min_errors", "max_trials"}
-_ANALYSIS_KEYS = {"closed_form", "quadrature", "asymptotic"}
 _CALIBRATION_KEYS = {"path", "grid_db", "method", "trials", "target_std_err"}
 _COMPARE_KEYS = {"a", "b", "mode"}
 _OUTPUT_KEYS = {"dir", "basename"}
+
+
+def _fragments(kind, sizes, decoders, **keys):
+    """Job fragments for every (M, decoder), M outermost."""
+    return [{"constellation": {"kind": kind, "M": m}, "decoder": {"kind": d}, **keys}
+            for m in sizes for d in decoders]
+
+
+def _horizontal(pairs):
+    return [{"a": a, "b": b, "mode": "horizontal_db"} for a, b in pairs]
+
+
+# preset -> (job fragments, compare entries), written in the keys of a
+# spelled-out config; the preset's grid_db (default _PRESET_GRID) joins each
+_PRESETS = {
+    "fig4_psk": (_fragments("psk", (4, 16, 32), ("ml", "pl")),
+                 _horizontal((f"psk{m}_pl", f"psk{m}_ml") for m in (4, 16, 32))),
+    "fig4_qam": (_fragments("qam", (8, 16, 32, 64), ("ml", "pl", "genie_reference")),
+                 _horizontal((f"qam{m}_ml", f"qam{m}_genie_reference")
+                             for m in (8, 16, 32, 64))),
+    "fig5": (_fragments("psk", (8,), ("pl", "naive_eps0")),
+             _horizontal([("psk8_pl", "psk8_naive_eps0")])),
+    "fig6": (_fragments("psk", (4, 16, 32), ("pl",),
+                        analysis={"closed_form": True, "quadrature": True}), []),
+    "fig7": ([frag for n in (2, 3) for frag in _fragments(
+        "psk", (4,), ("pl",), n_relays=n, analysis={"asymptotic": True})], []),
+}
+_PRESET_GRID = {"start": 0, "stop": 36, "step": 3}
 
 
 def _check_keys(mapping, allowed, where):
@@ -170,13 +207,11 @@ def _trials_from(mapping, where):
 
 @dataclass(frozen=True)
 class SweepJob:
-    """One curve to produce: a plan plus which analytic overlays to emit."""
+    """One curve to produce: a plan plus the analytic overlays to emit."""
 
     label: str
     plan: ExperimentPlan
-    closed_form: bool = False
-    quadrature: bool = False
-    asymptotic: bool = False
+    analysis: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -192,7 +227,6 @@ class CalibrationConfig:
 class RunConfig:
     """Validated run description: jobs to execute and where results go."""
 
-    version: int
     jobs: tuple[SweepJob, ...]
     compare: tuple[tuple[str, str, str], ...]
     calibration: CalibrationConfig | None
@@ -201,56 +235,59 @@ class RunConfig:
     seed: int
 
 
-def _job(label, spec, decoder, grid, trials, seed, frame_len, *,
-         n_relays=1, tying="all_equal", sr_offsets=(), rd_offsets=(),
-         sr_eps="configured", zero_noise=False, closed_form=False,
-         quadrature=False, asymptotic=False):
+def _job_from(doc, trials, seed, frame_len):
+    """Validate one experiment, spelled out or a preset fragment, into a job.
+
+    The label is ``{kind}{M}_{decoder}``, with ``_n{N}`` unless N is 1.
+    """
+    for key in ("constellation", "decoder", "grid_db"):
+        if key not in doc:
+            raise ConfigError(f"config.{key} is required without a preset")
+    spec = _spec_from(doc["constellation"], "config.constellation")
+    decoder = _decoder_from(doc["decoder"], "config.decoder")
+    grid = _grid_from(doc["grid_db"], "config.grid_db")
+    section = doc.get("analysis", {})
+    _check_keys(section, set(_ANALYSIS_SOURCES), "config.analysis")
+    analysis = tuple(source for source in _ANALYSIS_SOURCES
+                     if _flag(section.get(source, False), f"config.analysis.{source}"))
+    n_relays = _integer(doc.get("n_relays", 1), "config.n_relays")
+    tying = doc.get("tying", "all_equal")
+    sr_offsets, rd_offsets = (_numbers(doc.get(key, ()), f"config.{key}")
+                              for key in ("sr_offsets_db", "rd_offsets_db"))
+    if "closed_form" in analysis or "quadrature" in analysis:
+        if spec.kind != "psk" or n_relays != 1:
+            raise ConfigError(
+                "closed_form and quadrature analysis model one erroneous "
+                "relay with a PSK alphabet"
+            )
+        if tying == "sr_infinite" or decoder.kind == "naive_eps0":
+            raise ConfigError(
+                "closed_form and quadrature analysis model a relay that errs "
+                "at its calibrated epsilon and a decoder that clips at it; "
+                "they cannot serve sr_infinite tying or the naive_eps0 decoder"
+            )
+    if "asymptotic" in analysis:
+        if spec.kind != "psk":
+            raise ConfigError("asymptotic analysis needs a PSK alphabet")
+        if n_relays < 1:
+            raise ConfigError(
+                f"asymptotic analysis needs at least one relay, got n_relays {n_relays}"
+            )
+        if tying == "custom" and any(rd_offsets):
+            raise ConfigError(
+                "asymptotic analysis takes one mean SNR for the direct and "
+                "every relay-destination link; it cannot serve nonzero "
+                "rd_offsets_db"
+            )
+    label = f"{spec.kind}{spec.M}_{decoder.kind}" + (f"_n{n_relays}" if n_relays != 1 else "")
     plan = ExperimentPlan(
         spec=spec, decoder=decoder, snr_grid_db=grid, n_relays=n_relays,
         tying=tying, sr_offsets_db=sr_offsets, rd_offsets_db=rd_offsets,
-        trials=trials, seed=seed, frame_len=frame_len, sr_eps=sr_eps,
-        zero_noise=zero_noise,
+        trials=trials, seed=seed, frame_len=frame_len,
+        sr_eps=doc.get("sr_eps", "configured"),
+        zero_noise=_flag(doc.get("zero_noise", False), "config.zero_noise"),
     )
-    return SweepJob(label, plan, closed_form, quadrature, asymptotic)
-
-
-def _preset_jobs(name, grid, trials, seed, frame_len):
-    jobs = []
-    comparisons = []
-    if name == "fig4_psk":
-        for m in (4, 16, 32):
-            spec = make_psk(m)
-            for kind in ("ml", "pl"):
-                jobs.append(_job(f"psk{m}_{kind}", spec, DecoderConfig(kind),
-                                 grid, trials, seed, frame_len))
-            comparisons.append((f"psk{m}_pl", f"psk{m}_ml", "horizontal_db"))
-    elif name == "fig4_qam":
-        for m in (8, 16, 32, 64):
-            spec = make_qam(m)
-            for kind in ("ml", "pl", "genie_reference"):
-                jobs.append(_job(f"qam{m}_{kind}", spec, DecoderConfig(kind),
-                                 grid, trials, seed, frame_len))
-            comparisons.append((f"qam{m}_ml", f"qam{m}_genie_reference",
-                                "horizontal_db"))
-    elif name == "fig5":
-        spec = make_psk(8)
-        for kind in ("pl", "naive_eps0"):
-            jobs.append(_job(f"psk8_{kind}", spec, DecoderConfig(kind),
-                             grid, trials, seed, frame_len))
-        comparisons.append(("psk8_pl", "psk8_naive_eps0", "horizontal_db"))
-    elif name == "fig6":
-        for m in (4, 16, 32):
-            jobs.append(_job(f"psk{m}_pl", make_psk(m), DecoderConfig("pl"),
-                             grid, trials, seed, frame_len,
-                             closed_form=True, quadrature=True))
-    elif name == "fig7":
-        for n in (2, 3):
-            jobs.append(_job(f"psk4_pl_n{n}", make_psk(4), DecoderConfig("pl"),
-                             grid, trials, seed, frame_len, n_relays=n,
-                             asymptotic=True))
-    else:
-        raise ConfigError(f"preset must be one of {PRESETS}, got {name!r}")
-    return tuple(jobs), tuple(comparisons)
+    return SweepJob(label, plan, analysis)
 
 
 def load_config(path, *, seed=None, output_dir=None):
@@ -260,17 +297,25 @@ def load_config(path, *, seed=None, output_dir=None):
     if doc is None:
         doc = {}
     _check_keys(doc, _TOP_KEYS, "config")
-    if doc.get("version") != 1:
-        raise ConfigError(f"config.version must be 1, got {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != 1:  # True == 1 in Python
+        raise ConfigError(f"config.version must be 1, got {version!r}")
 
     preset = doc.get("preset")
-    if preset is not None:
+    if preset is None:
+        fragments, entries = (doc,), doc.get("compare", [])
+    else:
         extra = sorted(set(doc) - _PRESET_OVERRIDE_KEYS)
         if extra:
             raise ConfigError(
                 f"preset {preset!r} already defines: {', '.join(extra)}; "
                 "remove those keys or drop the preset"
             )
+        if preset not in _PRESETS:
+            raise ConfigError(f"preset must be one of {tuple(_PRESETS)}, got {preset!r}")
+        fragments, entries = _PRESETS[preset]
+        grid = doc.get("grid_db", _PRESET_GRID)
+        fragments = [dict(fragment, grid_db=grid) for fragment in fragments]
 
     run_seed = _integer(doc.get("seed", 0) if seed is None else seed, "config.seed")
     frame_len = _integer(doc.get("frame_len", 64), "config.frame_len")
@@ -299,80 +344,26 @@ def load_config(path, *, seed=None, output_dir=None):
         )
 
     try:
-        if preset is not None:
-            grid = _grid_from(doc.get("grid_db", {"start": 0, "stop": 36, "step": 3}),
-                              "config.grid_db")
-            jobs, comparisons = _preset_jobs(preset, grid, trials, run_seed, frame_len)
-        else:
-            for key in ("constellation", "decoder", "grid_db"):
-                if key not in doc:
-                    raise ConfigError(f"config.{key} is required without a preset")
-            spec = _spec_from(doc["constellation"], "config.constellation")
-            decoder = _decoder_from(doc["decoder"], "config.decoder")
-            grid = _grid_from(doc["grid_db"], "config.grid_db")
-            analysis = doc.get("analysis", {})
-            _check_keys(analysis, _ANALYSIS_KEYS, "config.analysis")
-            toggles = {k: _flag(analysis.get(k, False), f"config.analysis.{k}")
-                       for k in _ANALYSIS_KEYS}
-            n_relays = _integer(doc.get("n_relays", 1), "config.n_relays")
-            tying = doc.get("tying", "all_equal")
-            sr_offsets, rd_offsets = (_numbers(doc.get(key, ()), f"config.{key}")
-                                      for key in ("sr_offsets_db", "rd_offsets_db"))
-            if toggles["closed_form"] or toggles["quadrature"]:
-                if spec.kind != "psk" or n_relays != 1:
-                    raise ConfigError(
-                        "closed_form and quadrature analysis model one erroneous "
-                        "relay with a PSK alphabet"
-                    )
-                if tying == "sr_infinite" or decoder.kind == "naive_eps0":
-                    raise ConfigError(
-                        "closed_form and quadrature analysis model a relay that errs "
-                        "at its calibrated epsilon and a decoder that clips at it; "
-                        "they cannot serve sr_infinite tying or the naive_eps0 decoder"
-                    )
-            if toggles["asymptotic"]:
-                if spec.kind != "psk":
-                    raise ConfigError("asymptotic analysis needs a PSK alphabet")
-                if tying == "custom" and any(rd_offsets):
-                    raise ConfigError(
-                        "asymptotic analysis takes one mean SNR for the direct and "
-                        "every relay-destination link; it cannot serve nonzero "
-                        "rd_offsets_db"
-                    )
-            label = f"{spec.kind}{spec.M}_{decoder.kind}"
-            if n_relays != 1:
-                label += f"_n{n_relays}"
-            jobs = (
-                _job(
-                    label, spec, decoder, grid, trials, run_seed, frame_len,
-                    n_relays=n_relays, tying=tying,
-                    sr_offsets=sr_offsets, rd_offsets=rd_offsets,
-                    sr_eps=doc.get("sr_eps", "configured"),
-                    zero_noise=_flag(doc.get("zero_noise", False), "config.zero_noise"),
-                    **toggles,
-                ),
-            )
-            comparisons = ()
+        jobs = tuple(_job_from(fragment, trials, run_seed, frame_len)
+                     for fragment in fragments)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-
-    if "compare" in doc and preset is None:
-        entries = doc["compare"]
-        if not isinstance(entries, list):
-            raise ConfigError("config.compare must be a list")
-        pairs = []
-        labels = {job.label for job in jobs}
-        for i, entry in enumerate(entries):
-            _check_keys(entry, _COMPARE_KEYS, f"config.compare[{i}]")
-            for side in ("a", "b"):
-                if entry.get(side) not in labels:
-                    raise ConfigError(
-                        f"config.compare[{i}].{side} must name a job label"
-                    )
-            pairs.append((entry["a"], entry["b"], entry.get("mode", "ratio")))
-        comparisons = tuple(pairs)
+    if not isinstance(entries, list):
+        raise ConfigError("config.compare must be a list")
+    labels = {job.label for job in jobs}
+    comparisons = []
+    for i, entry in enumerate(entries):
+        where = f"config.compare[{i}]"
+        _check_keys(entry, _COMPARE_KEYS, where)
+        for side in ("a", "b"):
+            if entry.get(side) not in labels:
+                raise ConfigError(f"{where}.{side} must name a job label")
+        mode = entry.get("mode", "ratio")
+        if mode not in _COMPARE_MODES:
+            raise ConfigError(f"{where}.mode must be one of {_COMPARE_MODES}, got {mode!r}")
+        comparisons.append((entry["a"], entry["b"], mode))
 
     out = doc.get("output", {})
     _check_keys(out, _OUTPUT_KEYS, "config.output")
@@ -380,7 +371,7 @@ def load_config(path, *, seed=None, output_dir=None):
     default_base = os.path.splitext(os.path.basename(path))[0]
     basename = out.get("basename", default_base)
     return RunConfig(
-        version=1, jobs=jobs, compare=comparisons, calibration=calibration,
+        jobs=jobs, compare=tuple(comparisons), calibration=calibration,
         output_dir=str(resolved_dir), basename=str(basename), seed=run_seed,
     )
 
@@ -464,20 +455,14 @@ def _analysis_row_value(source, plan, index):
     return ser_nearest_neighbor(spec, pep_fn, cfg)
 
 
-def _mc_rows(job, curve):
-    plan = job.plan
-    rows = []
-    for point in curve.points:
-        if point.failure is not None:
-            continue
-        rows.append({
-            "source": "mc", "kind": plan.spec.kind, "M": plan.spec.M,
-            "N_relays": plan.n_relays, "decoder": plan.decoder.kind,
-            "snr_db": point.snr_db, "ser": point.ser,
-            "ci_low": point.ci_low, "ci_high": point.ci_high,
-            "errors": point.errors, "trials": point.trials, "seed": plan.seed,
-        })
-    return rows
+def _row(source, plan, p):
+    """One curve row from point ``p``.  An analytic row's point has no counts
+    and an interval collapsed onto its value; its decoder is the paper's PL."""
+    decoder = plan.decoder.kind if source == "mc" else "pl"
+    return dict(zip(CSV_COLUMNS, (
+        source, plan.spec.kind, plan.spec.M, plan.n_relays, decoder, p.snr_db,
+        p.ser, p.ci_low, p.ci_high, p.errors, p.trials, plan.seed,
+    )))
 
 
 def _slope_entry(curve):
@@ -504,19 +489,15 @@ def cmd_sweep(config, workers=1):
         plan = replace(job.plan, epsilon_table=eps_table)
         curve = run_sweep(plan, workers=workers)
         curves_by_label[job.label] = curve
-        rows.extend(_mc_rows(job, curve))
+        ok = [p for p in curve.points if p.failure is None]
+        rows.extend(_row("mc", plan, p) for p in ok)
         entry = {
             "label": job.label, "kind": plan.spec.kind, "M": plan.spec.M,
             "n_relays": plan.n_relays, "decoder": plan.decoder.kind,
             "seed": plan.seed, "plan_hash": curve.plan_hash,
             "wall_time_s": curve.wall_time_s,
             "points_ok": int(curve.snr_db.size),
-            "points": [
-                {"snr_db": p.snr_db, "errors": p.errors, "trials": p.trials,
-                 "fallbacks": p.fallbacks, "stop_reason": p.stop_reason,
-                 "rounds": p.rounds, "deff": p.deff, "wall_s": p.wall_s}
-                for p in curve.points if p.failure is None
-            ],
+            "points": [{key: getattr(p, key) for key in _POINT_FIELDS} for p in ok],
             "failures": [
                 {"snr_db": p.snr_db, "reason": p.failure}
                 for p in curve.failures
@@ -526,9 +507,7 @@ def cmd_sweep(config, workers=1):
         }
         if curve.failures:
             failed = True
-        for source in _ANALYSIS_SOURCES:
-            if not getattr(job, source):
-                continue
+        for source in job.analysis:
             for index, snr_db in enumerate(plan.snr_grid_db):
                 try:
                     result = _analysis_row_value(source, plan, index)
@@ -542,13 +521,8 @@ def cmd_sweep(config, workers=1):
                     entry["analysis_warnings"].append(
                         {"snr_db": snr_db, "source": source, "warning": warning}
                     )
-                rows.append({
-                    "source": source, "kind": plan.spec.kind, "M": plan.spec.M,
-                    "N_relays": plan.n_relays, "decoder": "pl",
-                    "snr_db": snr_db, "ser": result.value,
-                    "ci_low": result.value, "ci_high": result.value,
-                    "errors": 0, "trials": 0, "seed": plan.seed,
-                })
+                ser = result.value
+                rows.append(_row(source, plan, SerPoint(snr_db, 0, 0, ser, ser, ser)))
         summary_curves.append(entry)
 
     comparisons = []
@@ -558,11 +532,7 @@ def cmd_sweep(config, workers=1):
             report = compare_curves(
                 curves_by_label[a_label], curves_by_label[b_label], mode=mode
             )
-            entry["rows"] = [
-                {"snr_db": row.snr_db, "value": row.value,
-                 "low": row.low, "high": row.high}
-                for row in report.rows
-            ]
+            entry["rows"] = [asdict(row) for row in report.rows]
         except ValueError as exc:
             entry["error"] = str(exc)
         comparisons.append(entry)
@@ -572,7 +542,7 @@ def cmd_sweep(config, workers=1):
     json_path = os.path.join(config.output_dir, f"{config.basename}.json")
     write_rows(csv_path, rows)
     summary = {
-        "version": config.version,
+        "version": 1,
         "basename": config.basename,
         "curves": summary_curves,
         "comparisons": comparisons,
@@ -595,13 +565,8 @@ def write_rows(path, rows):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row["source"], row["kind"], row["M"], row["N_relays"],
-                row["decoder"], repr(float(row["snr_db"])),
-                repr(float(row["ser"])), repr(float(row["ci_low"])),
-                repr(float(row["ci_high"])), row["errors"], row["trials"],
-                row["seed"],
-            ])
+            writer.writerow([repr(float(row[col])) if kind is float else row[col]
+                             for col, kind in _CSV_TYPES.items()])
 
 
 def read_rows(path):
@@ -612,17 +577,8 @@ def read_rows(path):
             raise ValueError(
                 f"{path} does not have the expected columns {CSV_COLUMNS}"
             )
-        rows = []
-        for raw in reader:
-            rows.append({
-                "source": raw["source"], "kind": raw["kind"],
-                "M": int(raw["M"]), "N_relays": int(raw["N_relays"]),
-                "decoder": raw["decoder"], "snr_db": float(raw["snr_db"]),
-                "ser": float(raw["ser"]), "ci_low": float(raw["ci_low"]),
-                "ci_high": float(raw["ci_high"]), "errors": int(raw["errors"]),
-                "trials": int(raw["trials"]), "seed": int(raw["seed"]),
-            })
-    return rows
+        return [{col: kind(raw[col]) for col, kind in _CSV_TYPES.items()}
+                for raw in reader]
 
 
 def _curve_from_rows(rows, selectors, where):
@@ -632,15 +588,12 @@ def _curve_from_rows(rows, selectors, where):
         chosen = [r for r in chosen if str(r[key]) == value]
     if not chosen:
         raise ValueError(f"{where}: no mc rows match the selection")
-    identities = {(r["kind"], r["M"], r["N_relays"], r["decoder"], r["seed"])
-                  for r in chosen}
+    identities = {tuple(r[key] for key in _SELECTOR_KEYS) for r in chosen}
     if len(identities) > 1:
         raise ValueError(
             f"{where}: selection is ambiguous across curves {sorted(identities)}; "
-            "add key=value selectors (kind, M, N_relays, decoder, seed)"
+            f"add key=value selectors ({', '.join(_SELECTOR_KEYS)})"
         )
-    from .simkit import SerPoint
-
     chosen.sort(key=lambda r: r["snr_db"])
     points = tuple(
         SerPoint(r["snr_db"], r["errors"], r["trials"], r["ser"],
@@ -656,7 +609,7 @@ def _parse_selectors(pairs, where):
         if "=" not in pair:
             raise ValueError(f"{where}: selector {pair!r} is not key=value")
         key, value = pair.split("=", 1)
-        if key not in ("kind", "M", "N_relays", "decoder", "seed"):
+        if key not in _SELECTOR_KEYS:
             raise ValueError(f"{where}: cannot select on {key!r}")
         out.append((key, value))
     return out
@@ -667,15 +620,7 @@ def cmd_compare(path_a, path_b, mode, select_a, select_b):
     curve_a = _curve_from_rows(read_rows(path_a), _parse_selectors(select_a, "--select-a"), path_a)
     curve_b = _curve_from_rows(read_rows(path_b), _parse_selectors(select_b, "--select-b"), path_b)
     report = compare_curves(curve_a, curve_b, mode=mode)
-    payload = {
-        "mode": report.mode,
-        "rows": [
-            {"snr_db": row.snr_db, "value": row.value,
-             "low": row.low, "high": row.high}
-            for row in report.rows
-        ],
-    }
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump(asdict(report), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
@@ -765,7 +710,7 @@ def _build_parser():
     p = sub.add_parser("compare")
     p.add_argument("csv_a")
     p.add_argument("csv_b")
-    p.add_argument("--mode", choices=("ratio", "horizontal_db"), default="ratio")
+    p.add_argument("--mode", choices=_COMPARE_MODES, default="ratio")
     p.add_argument("--select-a", action="append", default=[],
                    metavar="KEY=VALUE")
     p.add_argument("--select-b", action="append", default=[],

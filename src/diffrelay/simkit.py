@@ -76,7 +76,8 @@ class ExperimentPlan:
     direct and relay-destination links stay at the grid value, and ``custom``
     adds the per-relay dB offsets to the source-relay and relay-destination
     links.  Under ``sr_infinite`` the decoders keep their configured epsilons
-    by default; ``sr_eps='vanishing'`` zeroes them instead.
+    by default; ``sr_eps='vanishing'`` zeroes them instead, and is refused
+    under any other tying.
     """
 
     spec: ConstellationSpec
@@ -104,6 +105,8 @@ class ExperimentPlan:
             raise ValueError(
                 f"sr_eps must be one of {_SR_EPS_MODES}, got {self.sr_eps!r}"
             )
+        if self.sr_eps == "vanishing" and self.tying != "sr_infinite":
+            raise ValueError("sr_eps 'vanishing' is only meaningful with sr_infinite tying")
         if self.tying == "custom":
             if len(self.sr_offsets_db) != self.n_relays or len(self.rd_offsets_db) != self.n_relays:
                 raise ValueError("custom tying needs one sr and rd offset per relay")

@@ -24,6 +24,62 @@ from diffrelay.relay import load_epsilon_table
 
 QPSK = make_psk(4)
 
+# Every preset's expansion as the preset code gave it before presets became
+# config fragments: labels in order, each job's analysis overlays, the
+# comparisons, and the plan hashes at default settings and under
+# PRESET_OVERRIDES.
+PRESET_OVERRIDES = {"grid_db": [6.0, 9.0], "seed": 7, "frame_len": 32,
+                    "trials": {"min_errors": 50, "max_trials": 10000}}
+PRESET_EXPANSIONS = {
+    "fig4_psk": (
+        ["psk4_ml", "psk4_pl", "psk16_ml", "psk16_pl", "psk32_ml", "psk32_pl"],
+        (),
+        (("psk4_pl", "psk4_ml", "horizontal_db"), ("psk16_pl", "psk16_ml", "horizontal_db"),
+         ("psk32_pl", "psk32_ml", "horizontal_db")),
+        ["24c60af4f7583189", "0ceb96872188580e", "797778569e5f25d7", "79c60b268fbebce6",
+         "07a6d33f05ff9b3e", "c305de7bc6b506c7"],
+        ["084a648092c1f1fa", "7b7ff4b91eba0aaa", "2fa96f77490dd779", "cb63c8c2f5479024",
+         "0a02e817e4bad6cd", "12868b4f99b11417"],
+    ),
+    "fig4_qam": (
+        ["qam8_ml", "qam8_pl", "qam8_genie_reference", "qam16_ml", "qam16_pl",
+         "qam16_genie_reference", "qam32_ml", "qam32_pl", "qam32_genie_reference",
+         "qam64_ml", "qam64_pl", "qam64_genie_reference"],
+        (),
+        (("qam8_ml", "qam8_genie_reference", "horizontal_db"),
+         ("qam16_ml", "qam16_genie_reference", "horizontal_db"),
+         ("qam32_ml", "qam32_genie_reference", "horizontal_db"),
+         ("qam64_ml", "qam64_genie_reference", "horizontal_db")),
+        ["b8d58a6ce805ce0e", "7607bc88edad669d", "fdaa138d071a1611", "e8de31685ab62a8d",
+         "d5051b3778ca7c24", "a5e42e5def81606f", "da046793aa46c70d", "836e84de3d2879e1",
+         "65d454ac6e8e1ab8", "0f278c71eb2e31ca", "55b785fb1f7c739d", "127df16368597ed6"],
+        ["91419d6222d941ec", "5ea6d7e01e1caaa5", "48fc59a875edef9c", "5699ffbfb567cbd0",
+         "12825488f4e48443", "606d49b20e58ee7b", "18e0d75ec4bd2416", "d3d28a488399a2de",
+         "6e6ce695c47758d4", "05d70085bd5ec611", "4fcc3395e0b956e3", "c691de6cbe372a84"],
+    ),
+    "fig5": (
+        ["psk8_pl", "psk8_naive_eps0"],
+        (),
+        (("psk8_pl", "psk8_naive_eps0", "horizontal_db"),),
+        ["8a5e1d550313c561", "a4d818d50d836c61"],
+        ["4df4d9215583bc93", "9e52e48bb538f46d"],
+    ),
+    "fig6": (
+        ["psk4_pl", "psk16_pl", "psk32_pl"],
+        ("closed_form", "quadrature"),
+        (),
+        ["0ceb96872188580e", "79c60b268fbebce6", "c305de7bc6b506c7"],
+        ["7b7ff4b91eba0aaa", "cb63c8c2f5479024", "12868b4f99b11417"],
+    ),
+    "fig7": (
+        ["psk4_pl_n2", "psk4_pl_n3"],
+        ("asymptotic",),
+        (),
+        ["8950576b57e3030f", "6ab2344f931662ae"],
+        ["699f9bbc1e05ac78", "cebf7be84662209b"],
+    ),
+}
+
 
 def write_yaml(path, doc):
     with open(path, "w") as fh:
@@ -111,6 +167,13 @@ class TestConfigValidation:
         path = write_yaml(tmp_path / "c.yaml", doc)
         with pytest.raises(ConfigError, match=where):
             load_config(path)
+
+    def test_version_refuses_a_bool(self, tmp_path):
+        # True == 1, so version: true used to load and sweep
+        path = write_yaml(tmp_path / "c.yaml", minimal_doc(version=True))
+        with pytest.raises(ConfigError, match="config.version must be 1, got True"):
+            load_config(path)
+        assert main(["sweep", path]) == 2
 
     def test_empty_grid_rejected(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", minimal_doc(grid_db=[]))
@@ -272,6 +335,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="PSK alphabet"):
             load_config(write_yaml(tmp_path / "c.yaml", doc))
 
+    def test_asymptotic_needs_a_relay(self, tmp_path):
+        # n_relays: 0 used to load, and every asymptotic row then failed
+        # after the Monte Carlo
+        doc = minimal_doc(n_relays=0, analysis={"asymptotic": True})
+        with pytest.raises(ConfigError, match="asymptotic analysis needs at least one relay"):
+            load_config(write_yaml(tmp_path / "c.yaml", doc))
+
     def test_asymptotic_refuses_relay_destination_offsets(self, tmp_path):
         # the law takes one mean SNR for the direct and every relay-destination
         # link, so offset relay-destination links would print the equal-SNR value
@@ -285,12 +355,31 @@ class TestConfigValidation:
         doc = minimal_doc(n_relays=2, tying="custom", sr_offsets_db=[10.0, 10.0],
                           rd_offsets_db=[0.0, 0.0], analysis={"asymptotic": True})
         job = load_config(write_yaml(tmp_path / "c.yaml", doc)).jobs[0]
-        assert job.asymptotic
+        assert job.analysis == ("asymptotic",)
         assert job.plan.sr_offsets_db == (10.0, 10.0)
 
     def test_compare_must_name_job_labels(self, tmp_path):
         doc = minimal_doc(compare=[{"a": "psk4_pl", "b": "nope"}])
         with pytest.raises(ConfigError, match=r"compare\[0\].b"):
+            load_config(write_yaml(tmp_path / "c.yaml", doc))
+
+    def test_compare_mode_checked_at_load(self, tmp_path):
+        # an unknown mode used to surface only after the sweep, as a JSON error
+        doc = minimal_doc(compare=[{"a": "psk4_pl", "b": "psk4_pl", "mode": "sideways"}])
+        doc["output"] = {"dir": str(tmp_path), "basename": "run"}
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=r"config\.compare\[0\]\.mode must be one of"):
+            load_config(path)
+        assert main(["sweep", path]) == 2
+        assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"tying": "custom", "sr_offsets_db": [3.0], "rd_offsets_db": [0.0]},
+    ])
+    def test_vanishing_epsilons_need_sr_infinite(self, tmp_path, overrides):
+        doc = minimal_doc(sr_eps="vanishing", **overrides)
+        with pytest.raises(ConfigError, match="only meaningful with sr_infinite"):
             load_config(write_yaml(tmp_path / "c.yaml", doc))
 
     def test_seed_and_output_overrides_win(self, tmp_path, monkeypatch):
@@ -314,12 +403,24 @@ class TestConfigValidation:
 
 
 class TestPresets:
+    @pytest.mark.parametrize("overridden", [False, True])
+    @pytest.mark.parametrize("preset", sorted(PRESET_EXPANSIONS))
+    def test_expansion_is_pinned(self, tmp_path, preset, overridden):
+        labels, analysis, compare, hashes, override_hashes = PRESET_EXPANSIONS[preset]
+        doc = {"version": 1, "preset": preset, **(PRESET_OVERRIDES if overridden else {})}
+        cfg = load_config(write_yaml(tmp_path / "c.yaml", doc))
+        assert [job.label for job in cfg.jobs] == labels
+        assert all(job.analysis == analysis for job in cfg.jobs)
+        assert cfg.compare == compare
+        assert [job.plan.plan_hash() for job in cfg.jobs] == (
+            override_hashes if overridden else hashes)
+
     def test_fig6_expands_to_three_analysis_jobs(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", {"version": 1, "preset": "fig6"})
         cfg = load_config(path)
         assert [j.label for j in cfg.jobs] == ["psk4_pl", "psk16_pl", "psk32_pl"]
         for job in cfg.jobs:
-            assert job.closed_form and job.quadrature and not job.asymptotic
+            assert job.analysis == ("closed_form", "quadrature")
             assert job.plan.decoder.kind == "pl"
             assert len(job.plan.snr_grid_db) == 13
             assert job.plan.n_relays == 1
@@ -330,7 +431,7 @@ class TestPresets:
         assert [(j.label, j.plan.n_relays) for j in cfg.jobs] == [
             ("psk4_pl_n2", 2), ("psk4_pl_n3", 3)]
         for job in cfg.jobs:
-            assert job.asymptotic and not job.closed_form
+            assert job.analysis == ("asymptotic",)
             assert job.plan.spec.M == 4
             assert job.plan.tying == "all_equal"
 

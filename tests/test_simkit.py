@@ -154,6 +154,16 @@ class TestPolicyAndPlanValidation:
                 rd_offsets_db=(0.0,),
             )
 
+    @pytest.mark.parametrize("tying, offsets", [("all_equal", ()), ("custom", (3.0,))])
+    def test_vanishing_epsilons_require_sr_infinite(self, tying, offsets):
+        # resolve_epsilons reads sr_eps only under sr_infinite, so elsewhere
+        # 'vanishing' changed the plan hash and nothing else
+        with pytest.raises(ValueError, match="only meaningful with sr_infinite"):
+            ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,), tying=tying,
+                           sr_offsets_db=offsets, rd_offsets_db=offsets, sr_eps="vanishing")
+        ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,), tying="sr_infinite",
+                       sr_eps="vanishing")
+
     def test_frame_len_floor(self):
         with pytest.raises(ValueError, match="frame_len must be >= 1"):
             ExperimentPlan(QPSK, DecoderConfig("ml"), (10.0,), frame_len=0)
