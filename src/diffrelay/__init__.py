@@ -1,6 +1,6 @@
 """Differential decode-and-forward relay simulator and SER analysis toolkit.
 
-Modules: specfun (conditional asymptotic-series kernels), constellation
+Modules: specfun (series kernels kept for the benchmark harness), constellation
 (PSK/QAM alphabets), diffmod (differential mapping), channel (fading links
 and counter-based streams), relay (demodulate-and-forward and epsilon
 calibration), decoders (destination ML and piecewise-linear decoders),
@@ -13,7 +13,6 @@ from .analysis import (
     PepTermsConfig,
     SnrPoint,
     fit_diversity_slope,
-    pep_asymptotic_conditional,
     pep_asymptotic_multirelay,
     pep_exact,
     pep_quadrature_approx,
@@ -60,7 +59,6 @@ __all__ = [
     "make_psk",
     "make_qam",
     "make_stream",
-    "pep_asymptotic_conditional",
     "pep_asymptotic_multirelay",
     "pep_exact",
     "pep_quadrature_approx",

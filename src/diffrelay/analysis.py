@@ -26,11 +26,12 @@ product nu*mu:
     the noise-times-noise term |xbar|^2/4.  The clip-region integral runs on
     a fixed 201-node Gauss-Legendre rule.  Within a few percent at high SNR.
 
-``pep_asymptotic_conditional`` / ``pep_asymptotic_multirelay`` cover the
-high-SNR multirelay law with error-free relays.  The first is the paper's
-conditional series at a fixed combined SNR.  The second is the paper's
-fading average of it, which sums to the finite L-branch binomial form
-sum_{k=0..N} C(N+k, k) p^(N+1) (1-p)^k and is evaluated as that sum.
+``pep_asymptotic_multirelay`` is the high-SNR multirelay law with
+error-free relays: the paper's fading average of its conditional series,
+which sums to the finite L-branch binomial form
+sum_{k=0..N} C(N+k, k) p^(N+1) (1-p)^k and is evaluated as that sum.  The
+conditional series itself lives only in the test oracles.  No evaluator
+here truncates a series, so every result is converged.
 ``fit_diversity_slope`` extracts diversity orders from SER curves.
 """
 
@@ -46,7 +47,6 @@ from .constellation import ConstellationSpec, make_psk, nearest_neighbors
 from .decoders import clip_threshold
 from .specfun import SeriesTruncation
 
-_LN2 = math.log(2.0)
 # Fixed-order Gauss-Legendre rule for the clip-region integrals; odd order
 # puts a node at w = 0 where the integrand peaks.
 _W_NODES = 201
@@ -89,8 +89,9 @@ class PepTermsConfig:
 
     ``threshold`` is not an argument: it is always the clip level implied by
     ``(m, eps)``, so the evaluators and the decoder agree on the clip point.
-    ``truncation`` is accepted but read by no evaluator; it stays because
-    the benchmark harness still passes it.
+    ``truncation`` is accepted but read by no evaluator, since none
+    truncates a series.  It stays because the benchmark harness
+    (``perfbench/workloads.py``) still passes it.
     """
 
     snr_point: SnrPoint
@@ -118,9 +119,10 @@ class PepTermsConfig:
 class PepResult:
     """Value plus convergence status of one evaluation.
 
-    ``converged`` is False when a series was truncated before settling;
-    ``warnings`` say which and why.  The value is always the best available
-    number, never NaN.
+    ``converged`` would be False for a series truncated before settling,
+    with ``warnings`` saying which and why; no evaluator in this package
+    truncates a series, so every result here is converged.  The value is
+    never NaN.
     """
 
     value: float
@@ -291,101 +293,16 @@ def ser_nearest_neighbor(spec: ConstellationSpec, pep_fn, cfg: PepTermsConfig) -
 # high-SNR multirelay asymptotics
 
 
-# ln k! for k = 0, 1, ..., grown on demand to the deepest series requested.  A
-# pure cache: each entry is the same whichever call grew the table.
-_log_factorial_table = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """ln k! for k = 0..n.
-
-    Only the conditional series sets the depth, through its ``max_terms``.
-    Each entry is math.lgamma(k + 1); a running sum of logs would drift by
-    about 1e-8 at a depth of 160k terms.
-    """
-    global _log_factorial_table
-    table = _log_factorial_table
-    if n >= table.size:
-        grown = [math.lgamma(k + 1.0) for k in range(table.size, n + 1)]
-        table = _log_factorial_table = np.concatenate((table, grown))
-    return table[: n + 1]
-
-
-def _asymptotic_pair(x_p: complex, x_q: complex) -> tuple[float, float]:
+def _asymptotic_pair(x_p: complex, x_q: complex) -> float:
+    """|x_p - x_q|^2 of two distinct equal-modulus symbols."""
     x_p = complex(x_p)
     x_q = complex(x_q)
     if abs(abs(x_p) - abs(x_q)) > _POINT_MATCH_TOL:
         raise ValueError("asymptotic series requires equal-modulus symbols")
-    xbar = x_p - x_q
-    abs2 = abs(xbar) ** 2
+    abs2 = abs(x_p - x_q) ** 2
     if abs2 <= 0.0:
         raise ValueError("x_p and x_q must be distinct")
-    beta = 2.0 * (x_p.conjugate() * xbar).real
-    return abs2, beta
-
-
-def pep_asymptotic_conditional(
-    x_p: complex,
-    x_q: complex,
-    n_relays: int,
-    gamma_t: float,
-    truncation: SeriesTruncation | None = None,
-) -> PepResult:
-    """High-SNR pairwise error probability conditioned on the combined SNR.
-
-    With N error-free relays and total combined instantaneous SNR
-    ``gamma_t``, evaluates the conditional error series for the threshold
-    combiner in the regime where all relays decode correctly.  At
-    ``gamma_t = 0`` the value is exactly one half.
-    """
-    if int(n_relays) != n_relays or n_relays < 0:
-        raise ValueError(f"n_relays must be an integer >= 0, got {n_relays!r}")
-    n_relays = int(n_relays)
-    if not (math.isfinite(gamma_t) and gamma_t >= 0.0):
-        raise ValueError(f"gamma_t must be finite and >= 0, got {gamma_t!r}")
-    trunc = truncation if truncation is not None else SeriesTruncation()
-    abs2, beta = _asymptotic_pair(x_p, x_q)
-    big_n = n_relays
-
-    if gamma_t == 0.0:
-        value = sum(
-            math.comb(big_n + n, n) / 2.0 ** (big_n + n + 1) for n in range(big_n + 1)
-        )
-        return PepResult(value, True, ())
-
-    a1 = 2.0 * abs2 - beta
-    a2 = 2.0 * abs2 + beta
-    log_pref = (beta / 4.0 - 1.5 * abs2) * gamma_t - (big_n + 1) * _LN2
-
-    from .specfun import log_laguerre_neg_table
-
-    k_cap = trunc.max_terms
-    lag = log_laguerre_neg_table(k_cap + big_n, a2 * gamma_t / 4.0, alpha=big_n)
-    n_idx = np.arange(k_cap + big_n + 1)
-    prefix = np.logaddexp.accumulate(lag - n_idx * _LN2)
-    k = np.arange(k_cap + 1)
-    log_a1g = math.log(a1 * gamma_t) if a1 * gamma_t > 0 else -math.inf
-    rows = np.where(k == 0, 0.0, k * (log_a1g - _LN2)) - _log_factorials(k_cap) + prefix[k + big_n]
-
-    prev = None
-    total = -math.inf
-    used = 0
-    converged = False
-    checkpoint = 32
-    for kk in range(k_cap + 1):
-        total = np.logaddexp(total, rows[kk])
-        used = kk + 1
-        if used >= checkpoint or kk == k_cap:
-            if prev is not None and abs(total - prev) <= trunc.rel_tol:
-                converged = True
-                break
-            prev = total
-            checkpoint *= 2
-    value = math.exp(log_pref + total)
-    warnings = () if converged else (
-        f"conditional asymptotic series not settled within max_terms = {trunc.max_terms}",
-    )
-    return PepResult(value, converged, warnings)
+    return abs2
 
 
 def pep_asymptotic_multirelay(
@@ -407,9 +324,9 @@ def pep_asymptotic_multirelay(
     g = |x_p - x_q|^2 gamma_bar and R = sqrt(g^2 + 8g + 4),
     p = (4g + 2) / (R (R + g)), which is (1 - g/R)/2 without the
     cancellation.  The sum needs the equal-modulus identity
-    beta = |x_p - x_q|^2 of the series' coefficients.  It is a
-    diversity-(N+1) lower bound on the erroneous-relay system's SER, which
-    the system approaches only when the source-relay links are
+    2 Re{x_p^* (x_p - x_q)} = |x_p - x_q|^2 of the series' coefficients.
+    It is a diversity-(N+1) lower bound on the erroneous-relay system's
+    SER, which the system approaches only when the source-relay links are
     asymptotically stronger than the other links; with all links at one SNR
     its diversity order is ceil(N/2) + 1.  No field of ``cfg`` is read.
     """
@@ -418,7 +335,7 @@ def pep_asymptotic_multirelay(
     n_relays = int(n_relays)
     if not (math.isfinite(gamma_bar) and gamma_bar > 0.0):
         raise ValueError(f"gamma_bar must be finite and > 0, got {gamma_bar!r}")
-    abs2, _ = _asymptotic_pair(x_p, x_q)
+    abs2 = _asymptotic_pair(x_p, x_q)
     g = abs2 * gamma_bar
     r = math.sqrt(g * g + 8.0 * g + 4.0)
     p = (4.0 * g + 2.0) / (r * (r + g))

@@ -350,6 +350,10 @@ def load_config(path, *, seed=None, output_dir=None):
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+    if calibration and calibration.method != "monte_carlo" and any(
+            job.plan.spec.kind == "qam" for job in jobs):
+        raise ConfigError(f"config.calibration.method {calibration.method} is "
+                          "available for psk constellations only; use monte_carlo")
     if not isinstance(entries, list):
         raise ConfigError("config.compare must be a list")
     labels = {job.label for job in jobs}
@@ -700,7 +704,8 @@ def _build_parser():
                        help=f"override output directory (or ${OUTPUT_DIR_ENV})")
         if verb == "sweep":
             p.add_argument("--workers", type=_positive_int, default=1,
-                           help="parallel batches per grid point")
+                           help="threads per grid point, at most the usable "
+                                "CPUs; results are identical for any value")
 
     p = sub.add_parser("complexity")
     p.add_argument("--sizes", type=int, nargs="+",

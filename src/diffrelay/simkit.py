@@ -16,7 +16,7 @@ source-relay unless ``sr_infinite``); the relays; one for the
 relay-destination links; decode; count.  A channel product goes link by
 link through one reused buffer.  One link list pairs each stack row with
 its stream purpose.  A QAM round runs one contiguous share of batches per
-worker, so its sequential chains pay their per-symbol overhead once per
+thread, so its sequential chains pay their per-symbol overhead once per
 share; PSK, whose kernels gain nothing from larger stacks, runs one batch
 per call.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -358,13 +359,21 @@ _BATCH_SYMBOL_TARGET = 8192
 _ROUND_BATCHES = 8
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     """Estimate the SER of one grid point under the plan's stopping policy.
 
     The batches of a round run in parallel, one per call for PSK and one
-    contiguous share per worker for QAM; counts are summed and the stopping
-    rule is applied only at round boundaries, so the result does not depend
-    on ``workers``.
+    contiguous share per thread for QAM.  There are at most ``workers``
+    threads, never more than the usable CPUs or the batches in a round.
+    Counts are summed and the stopping rule is applied only at round
+    boundaries, so the result does not depend on the thread count.
     """
     if not 0 <= index < len(plan.snr_grid_db):
         raise ValueError(f"grid index {index} outside 0..{len(plan.snr_grid_db) - 1}")
@@ -390,7 +399,10 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
     def simulate(share):
         return _simulate_batch(plan, index, share, decoder_cfg)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # no round has more batches than the first: the budget's, up to _ROUND_BATCHES
+    budget_batches = -(-(plan.trials.max_trials // length) // frames_per_batch)
+    threads = max(1, min(workers, _usable_cpus(), _ROUND_BATCHES, budget_batches))
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     with pool or contextlib.nullcontext():
         run_jobs = pool.map if pool else map
         while errors < plan.trials.min_errors and trials < plan.trials.max_trials:
@@ -408,7 +420,7 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                 batch += 1
             trials = n_frames * length
             rounds += 1
-            size = -(-len(jobs) // max(workers, 1)) if plan.spec.kind == "qam" else 1
+            size = -(-len(jobs) // threads) if plan.spec.kind == "qam" else 1
             shares = [jobs[i:i + size] for i in range(0, len(jobs), size)]
             for err, sq, fb in list(run_jobs(simulate, shares)):
                 errors += err

@@ -1,9 +1,11 @@
-"""Series kernels for the high-SNR conditional asymptotic series.
+"""Series kernels of the high-SNR conditional asymptotic series.
 
-``SeriesTruncation`` is the stopping policy of ``pep_asymptotic_conditional``
-and ``log_laguerre_neg_table`` tabulates its Laguerre factors.  The series
-multiplies factorially growing factors by exponentially small ones, so the
-table stays in log space.
+No evaluator in the package calls them, since that series lives only in
+the test oracles.  They stay for the benchmark harness: ``perfbench``
+passes ``PepTermsConfig.truncation`` (a ``SeriesTruncation``), and its
+traced runs wrap ``log_laguerre_neg_table``.  That table stays in log
+space because the series multiplies factorially growing factors by
+exponentially small ones.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from oracles import (
     _cf_averaged,
     _cf_params,
     asymptotic_average_reference,
-    asymptotic_conditional_direct,
     asymptotic_multirelay_series,
     cf_pep_total,
     cf_self_check,
@@ -43,10 +42,8 @@ from diffrelay.analysis import (
     _laplace_scales,
     _laplace_tail,
     _legendre_rule,
-    _log_factorials,
     _statistic_scales,
     fit_diversity_slope,
-    pep_asymptotic_conditional,
     pep_asymptotic_multirelay,
     pep_exact,
     pep_quadrature_approx,
@@ -379,26 +376,6 @@ class TestSerNearestNeighbor:
 
 
 class TestAsymptotic:
-    def test_zero_snr_is_exactly_half(self):
-        for n in range(4):
-            res = pep_asymptotic_conditional(QPSK.points[0], QPSK.points[1], n, 0.0)
-            assert float(res) == pytest.approx(0.5, abs=1e-12)
-            assert res.converged
-
-    def test_conditional_matches_direct_summation(self):
-        trunc = SeriesTruncation(max_terms=8192, rel_tol=1e-12)
-        for n in (1, 2, 3):
-            for gamma_t in (0.5, 5.0, 50.0):
-                val = float(
-                    pep_asymptotic_conditional(
-                        QPSK.points[0], QPSK.points[1], n, gamma_t, truncation=trunc
-                    )
-                )
-                ref = asymptotic_conditional_direct(
-                    QPSK.points[0], QPSK.points[1], n, gamma_t
-                )
-                assert val == pytest.approx(ref, rel=1e-9)
-
     def test_multirelay_matches_quadrature_reference(self):
         trunc = SeriesTruncation(max_terms=8192, rel_tol=1e-12)
         for n, db in ((1, 15.0), (2, 18.0)):
@@ -441,13 +418,6 @@ class TestAsymptotic:
                 QPSK.points[0], QPSK.points[1], n, 1e-12, qpsk_cfg(0.0, 0.0)))
             assert val == pytest.approx(0.5, abs=1e-11)
 
-    def test_flags_exhausted_budget(self):
-        tight = pep_asymptotic_conditional(
-            QPSK.points[0], QPSK.points[1], 1, 50.0,
-            truncation=SeriesTruncation(max_terms=8, rel_tol=1e-12),
-        )
-        assert not tight.converged
-
     def test_multirelay_decreasing_in_snr_and_diversity(self):
         trunc = SeriesTruncation(max_terms=8192, rel_tol=1e-12)
         by_snr = [
@@ -462,25 +432,11 @@ class TestAsymptotic:
             qpsk_cfg(18.0, 18.0, truncation=trunc)))
         assert n3 < by_snr[1]
 
-    def test_log_factorials_match_scipy_as_the_table_grows(self):
-        small = _log_factorials(40).copy()
-        deep = _log_factorials(200_000)
-        np.testing.assert_array_equal(deep[:41], small)
-        k = np.arange(deep.size, dtype=float)
-        np.testing.assert_allclose(deep, sp.gammaln(k + 1.0), rtol=1e-14, atol=1e-15)
-        assert _log_factorials(10).size == 11
-
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            pep_asymptotic_conditional(QPSK.points[0], QPSK.points[1], -1, 1.0)
-        with pytest.raises(ValueError):
-            pep_asymptotic_conditional(QPSK.points[0], QPSK.points[1], 1, -1.0)
         with pytest.raises(ValueError):
             pep_asymptotic_multirelay(
                 QPSK.points[0], QPSK.points[1], 0, 10.0, qpsk_cfg(10.0, 10.0)
             )
-        with pytest.raises(ValueError):
-            pep_asymptotic_conditional(1.0 + 0.0j, 0.5 + 0.0j, 1, 1.0)
         with pytest.raises(ValueError, match="equal-modulus"):
             pep_asymptotic_multirelay(1.0 + 0.0j, 0.5 + 0.0j, 1, 10.0, qpsk_cfg(10.0, 10.0))
 

@@ -335,6 +335,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="PSK alphabet"):
             load_config(write_yaml(tmp_path / "c.yaml", doc))
 
+    @pytest.mark.parametrize("method", [None, "analytic_approx"])
+    def test_qam_calibration_needs_monte_carlo(self, tmp_path, capsys, method):
+        # the default method used to load, and calibrate then stopped on the
+        # first qam spec before writing any epsilon
+        cal = {"path": str(tmp_path / "eps.csv"), "grid_db": [10.0]}
+        if method:
+            cal["method"] = method
+        path = write_yaml(tmp_path / "c.yaml", {
+            "version": 1, "preset": "fig4_qam", "calibration": cal,
+            "output": {"dir": str(tmp_path), "basename": "run"}})
+        for verb in ("calibrate", "sweep"):
+            assert main([verb, path]) == 2
+            assert "config.calibration.method" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.yaml"]
+        cal["method"] = "monte_carlo"
+        path = write_yaml(tmp_path / "c.yaml", {
+            "version": 1, "preset": "fig4_qam", "calibration": cal})
+        assert load_config(path).calibration.method == "monte_carlo"
+
     def test_asymptotic_needs_a_relay(self, tmp_path):
         # n_relays: 0 used to load, and every asymptotic row then failed
         # after the Monte Carlo

@@ -7,6 +7,7 @@ engine's own cluster-adjusted intervals.
 
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -431,9 +432,11 @@ class TestFusedShares:
             seed=12, frame_len=16, zero_noise=True,
         ))
 
-    def test_worker_shares_keep_results(self):
+    def test_worker_shares_keep_results(self, monkeypatch):
         # 1,458 frames of 64: a full round of 8 batches, then 3 full and one
-        # partial batch, so shares differ in batches and frames
+        # partial batch, so shares differ in batches and frames; the CPU cap
+        # is lifted so 2 and 3 real threads run whatever the machine has
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: 8)
         plan = ExperimentPlan(
             QAM16, DecoderConfig("pl", epsilons=(0.05,)), (14.0,),
             trials=TrialsPolicy(40_000, 93_312), seed=3,
@@ -523,12 +526,30 @@ class TestStreamLayout:
 
 
 class TestRunSweep:
-    def test_worker_count_is_invisible(self):
+    def test_worker_count_is_invisible(self, monkeypatch):
         plan, serial = small_curve()
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: 8)
         threaded = run_sweep(plan, workers=8)
         for a, b in zip(serial.points, threaded.points):
             assert a == b
         assert serial.plan_hash == threaded.plan_hash
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_threads_never_exceed_usable_cpus(self, monkeypatch, cpus):
+        plan, serial = small_curve()
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: cpus)
+        simulate = simkit._simulate_batch
+        threads = set()
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return simulate(*args)
+
+        monkeypatch.setattr(simkit, "_simulate_batch", record)
+        assert run_point(plan, 0, workers=8) == serial.points[0]
+        assert len(threads) <= cpus
+        # one CPU runs the shares on the calling thread, with no pool
+        assert cpus > 1 or threads == {threading.get_ident()}
 
     def test_rows_ordered_by_snr(self):
         plan = ExperimentPlan(
@@ -815,7 +836,8 @@ class TestGoldenCounts:
                  for key in GOLDEN_COUNTS if got[key] != GOLDEN_COUNTS[key]}
         assert not moved
 
-    def test_one_pool_per_point_keeps_results(self):
+    def test_one_pool_per_point_keeps_results(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: 8)
         plan = ExperimentPlan(
             QPSK, DecoderConfig("pl", epsilons=(0.001,)), (30.0,),
             trials=TrialsPolicy(10_000, 150_000), seed=4,
