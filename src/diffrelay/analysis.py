@@ -119,15 +119,14 @@ class PepTermsConfig:
 class PepResult:
     """Value plus convergence status of one evaluation.
 
-    ``converged`` would be False for a series truncated before settling,
-    with ``warnings`` saying which and why; no evaluator in this package
-    truncates a series, so every result here is converged.  The value is
-    never NaN.
+    ``converged`` would be False for a series truncated before settling; no
+    evaluator in this package truncates a series, so every result here is
+    converged.  It stays because the benchmark harness
+    (``perfbench/spans.py``) counts unconverged rows.  The value is never NaN.
     """
 
     value: float
     converged: bool = True
-    warnings: tuple[str, ...] = ()
 
     def __float__(self) -> float:
         return float(self.value)
@@ -271,7 +270,8 @@ def ser_nearest_neighbor(spec: ConstellationSpec, pep_fn, cfg: PepTermsConfig) -
 
     Sums ``pep_fn(x_ref, x_neighbor, cfg)`` over the nearest neighbors of the
     reference symbol; exact for M = 2, the usual tight high-SNR approximation
-    otherwise.  Convergence flags and warnings of the terms are merged.
+    otherwise.  Only the terms' values are read: every evaluator here is
+    converged, so the sum is too.
     """
     if spec.kind != "psk":
         raise ValueError(f"nearest-neighbor SER expects a PSK spec, got kind = {spec.kind!r}")
@@ -279,14 +279,9 @@ def ser_nearest_neighbor(spec: ConstellationSpec, pep_fn, cfg: PepTermsConfig) -
         raise ValueError(f"spec has M = {spec.M} but cfg.m = {cfg.m}")
     ref = complex(spec.points[0])
     total = 0.0
-    converged = True
-    warnings: list[str] = []
     for j in nearest_neighbors(spec, 0):
-        res = pep_fn(ref, complex(spec.points[j]), cfg)
-        total += float(res)
-        converged = converged and bool(getattr(res, "converged", True))
-        warnings.extend(getattr(res, "warnings", ()))
-    return PepResult(min(total, 1.0), converged, tuple(dict.fromkeys(warnings)))
+        total += float(pep_fn(ref, complex(spec.points[j]), cfg))
+    return PepResult(min(total, 1.0))
 
 
 # ---------------------------------------------------------------------------

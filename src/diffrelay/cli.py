@@ -335,12 +335,18 @@ def load_config(path, *, seed=None, output_dir=None):
             )
         cal_grid = _grid_from(cal["grid_db"], "config.calibration.grid_db") \
             if "grid_db" in cal else ()
+        cal_trials = _integer(cal.get("trials", 1_000_000), "config.calibration.trials")
+        if cal_trials < 1:
+            raise ConfigError(f"config.calibration.trials must be >= 1, got {cal_trials}")
         target = cal.get("target_std_err")
+        if target is not None:
+            target = _number(target, "config.calibration.target_std_err")
+            if not target > 0.0:
+                raise ConfigError(
+                    f"config.calibration.target_std_err must be > 0, got {target!r}")
         calibration = CalibrationConfig(
             path=str(cal["path"]), grid_db=cal_grid, method=method,
-            trials=_integer(cal.get("trials", 1_000_000), "config.calibration.trials"),
-            target_std_err=None if target is None else _number(
-                target, "config.calibration.target_std_err"),
+            trials=cal_trials, target_std_err=target,
         )
 
     try:
@@ -507,6 +513,7 @@ def cmd_sweep(config, workers=1):
                 for p in curve.failures
             ],
             "slope_fit": _slope_entry(curve),
+            # always empty, no evaluator warns; kept for the JSON layout
             "analysis_warnings": [],
         }
         if curve.failures:
@@ -514,18 +521,13 @@ def cmd_sweep(config, workers=1):
         for source in job.analysis:
             for index, snr_db in enumerate(plan.snr_grid_db):
                 try:
-                    result = _analysis_row_value(source, plan, index)
+                    ser = _analysis_row_value(source, plan, index).value
                 except ValueError as exc:
                     failed = True
                     entry["failures"].append(
                         {"snr_db": snr_db, "reason": f"{source}: {exc}"}
                     )
                     continue
-                for warning in result.warnings:
-                    entry["analysis_warnings"].append(
-                        {"snr_db": snr_db, "source": source, "warning": warning}
-                    )
-                ser = result.value
                 rows.append(_row(source, plan, SerPoint(snr_db, 0, 0, ser, ser, ser)))
         summary_curves.append(entry)
 
@@ -604,7 +606,7 @@ def _curve_from_rows(rows, selectors, where):
                  r["ci_low"], r["ci_high"])
         for r in chosen
     )
-    return SerCurve(points, "csv", chosen[0]["seed"], chosen[0]["decoder"], 0.0)
+    return SerCurve(points, "csv", 0.0)
 
 
 def _parse_selectors(pairs, where):

@@ -1,4 +1,4 @@
-"""Symbol alphabets: M-PSK and M-QAM point sets with neighbor structure.
+"""Symbol alphabets: M-PSK and M-QAM point sets and their nearest neighbors.
 
 Points are stored in a fixed, documented order (PSK: increasing phase from
 1+0j; QAM: lexicographic by real then imaginary part) so indices are stable
@@ -19,29 +19,11 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ConstellationSpec:
-    """A symbol alphabet with precomputed nearest-neighbor sets."""
+    """A symbol alphabet: its kind, size and points."""
 
     kind: str
     M: int
     points: np.ndarray
-    neighbor_pairs: tuple[tuple[int, ...], ...]
-
-
-def _neighbor_sets(points: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    sets = []
-    for i in range(len(points)):
-        dist = np.abs(points - points[i])
-        dist[i] = np.inf
-        dmin = dist.min()
-        ties = np.flatnonzero(dist <= dmin * (1.0 + _TIE_RTOL))
-        sets.append(tuple(int(j) for j in ties))
-    return tuple(sets)
-
-
-def _build(kind: str, points: np.ndarray) -> ConstellationSpec:
-    return ConstellationSpec(
-        kind=kind, M=len(points), points=points, neighbor_pairs=_neighbor_sets(points)
-    )
 
 
 def make_psk(M: int) -> ConstellationSpec:
@@ -52,7 +34,7 @@ def make_psk(M: int) -> ConstellationSpec:
     phases = 2.0 * np.pi * np.arange(M) / M
     points = np.exp(1j * phases)
     points[0] = 1.0 + 0.0j
-    return _build("psk", points)
+    return ConstellationSpec("psk", M, points)
 
 
 def make_qam(M: int) -> ConstellationSpec:
@@ -85,11 +67,14 @@ def make_qam(M: int) -> ConstellationSpec:
         grid = [complex(a, b) for a in levels for b in levels]
         scale = np.sqrt(42.0)
     pts = sorted(grid, key=lambda p: (p.real, p.imag))
-    return _build("qam", np.asarray(pts, dtype=complex) / scale)
+    return ConstellationSpec("qam", M, np.asarray(pts, dtype=complex) / scale)
 
 
 def nearest_neighbors(spec: ConstellationSpec, index: int) -> list[int]:
     """Indices of all points at minimal distance from ``spec.points[index]``."""
     if int(index) != index or not 0 <= index < spec.M:
         raise ValueError(f"index must be in [0, {spec.M}), got {index!r}")
-    return list(spec.neighbor_pairs[int(index)])
+    index = int(index)
+    dist = np.abs(spec.points - spec.points[index])
+    dist[index] = np.inf
+    return [int(j) for j in np.flatnonzero(dist <= dist.min() * (1.0 + _TIE_RTOL))]

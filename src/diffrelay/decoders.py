@@ -18,15 +18,16 @@ so every QAM score is a table lookup (``relay.qam_objective``).
 
 Kernel layouts.  Both decoders score candidate-major, (M, n) for the direct
 link and (M, R, n) for the relays, and decide in one step, _decide.  ML adds
-each relay's log mixture and takes the first largest row; PL names a
-candidate, verifies it once and resolves the instances that fail in chunks
-of instances and groups of eight rivals, (8, M, chunk), with no table of
-every pair.  The mixture's maximum down the candidate axis is exact.  Its
-sum of exponentials and the fallback's row totals are added in numpy's own
-pairwise order (Higham, SIAM J. Sci. Comput. 14(4), 1993), the order of a
-row sum over a candidates-last table, since rounding decides near ties:
-summed rival by rival, left to right, the totals changed 22 of 2,000
-decisions on exact-tie inputs.
+each relay's log mixture and takes np.argmax down the candidate axis; PL
+names a candidate, verifies it once and resolves the instances that fail in
+chunks of instances and groups of eight rivals, (8, M, chunk), with no table
+of every pair.  Scores are finite or -inf, never NaN, so an argmax is the
+first row holding its column's largest value.  The mixture's maximum down
+the candidate axis is exact.  Its sum of exponentials and the fallback's row
+totals are added in numpy's own pairwise order (Higham, SIAM J. Sci.
+Comput. 14(4), 1993), the order of a row sum over a candidates-last table,
+since rounding decides near ties: summed rival by rival, left to right, the
+totals changed 22 of 2,000 decisions on exact-tie inputs.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
@@ -83,7 +84,7 @@ import numpy as np
 
 from .channel import make_stream
 from .constellation import make_psk
-from .relay import psk_sector, qam_objective
+from .relay import pair_products, psk_sector, qam_objective
 
 _KINDS = ("ml", "pl", "naive_eps0", "genie_reference")
 _EXP_CLAMP = 700.0
@@ -167,12 +168,6 @@ def clip_threshold(m: int, eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return math.log((m - 1) * (1.0 - eps) / eps)
-
-
-def _pair_products(y):
-    """conj(y[n+1]) y[n] over the sample pairs of frames y (..., L+1)."""
-    z = np.conj(y[..., 1:])
-    return np.multiply(z, y[..., :-1], out=z)
 
 
 def _psk_statistics(z, points, noise_var, out):
@@ -287,21 +282,9 @@ def _one_relay_candidate(base, rels, thr):
     np.bitwise_and(bits, _NEG_INF_BITS, out=bits)
     c += base
     c += rels[:, 0]
-    champ = _first_max_row(c)
+    champ = np.argmax(c, axis=0)
     return (champ, np.take_along_axis(base, champ[None], axis=0)[0],
             np.take_along_axis(rels, champ[None, None], axis=0)[0])
-
-
-def _first_max_row(a):
-    """Each column's first row holding its largest value, (n,); overwrites a.
-
-    Reductions down the candidate axis are fast, an argmax over it is not.
-    The row numbers overwrite a, exact as floats.
-    """
-    below = np.less(a, a.max(axis=0), out=_WORKSPACE.take("mask", a.shape, bool))
-    a[...] = np.arange(len(a))[:, None]
-    np.copyto(a, len(a) - 1, where=below)
-    return a.min(axis=0).astype(np.int64)
 
 
 def _sweep(base, rels, thr):
@@ -437,7 +420,7 @@ def _decide(base, rels, cfg, thresholds):
         return _tournament(base, rels, thresholds)
     for r, eps in enumerate(cfg.effective_epsilons()):
         base += _mixture_log_scores(rels[:, r], eps)
-    return _first_max_row(base), 0
+    return np.argmax(base, axis=0), 0
 
 
 def _relay_count(spec, kind, y_rd, rd_noise_vars, cfg):
@@ -496,8 +479,8 @@ def decode_psk_frames(y_sd, y_rd, sd_noise_var, rd_noise_vars, spec, cfg):
     y_sd = np.asarray(y_sd)
     y_rd = np.asarray(y_rd)
     n_rel = _relay_count(spec, "psk", y_rd, rd_noise_vars, cfg)
-    z0 = _pair_products(y_sd).ravel()
-    zr = _pair_products(y_rd).reshape(n_rel, z0.size)
+    z0 = pair_products(y_sd).ravel()
+    zr = pair_products(y_rd).reshape(n_rel, z0.size)
     decisions = np.empty(z0.size, dtype=np.int64)
     points = spec.points[:, None]
     thresholds = cfg.resolved_thresholds(spec.M)

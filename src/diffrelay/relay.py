@@ -43,22 +43,22 @@ _QAM_DETECT_BLOCK = 4096
 
 @dataclass(frozen=True)
 class EpsilonEstimate:
-    """Average relay symbol error probability with its provenance."""
+    """Average relay symbol error probability with its provenance.
+
+    ``trials`` is the Monte Carlo trial count, 0 for the analytic value.
+    """
 
     value: float
-    method: str
     trials: int
     std_err: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value < 1.0:
             raise ValueError(f"value must be in [0, 1), got {self.value}")
-        if self.method not in ("monte_carlo", "analytic_approx"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.std_err < 0.0:
             raise ValueError(f"std_err must be >= 0, got {self.std_err}")
-        if self.method == "monte_carlo" and self.trials <= 0:
-            raise ValueError("monte_carlo estimates require trials > 0")
 
 
 def demod_psk_frame(y: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
@@ -71,8 +71,13 @@ def demod_psk_frame(y: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     """
     if spec.kind != "psk":
         raise ValueError(f"expected a psk constellation, got {spec.kind!r}")
-    y = np.asarray(y)
-    return psk_sector(np.conj(y[..., 1:]) * y[..., :-1], spec.M)
+    return psk_sector(pair_products(np.asarray(y)), spec.M)
+
+
+def pair_products(y):
+    """conj(y[n+1]) y[n] over the sample pairs of frames y (..., L+1)."""
+    z = np.conj(y[..., 1:])
+    return np.multiply(z, y[..., :-1], out=z)
 
 
 def psk_sector(z, m: int) -> np.ndarray:
@@ -253,7 +258,7 @@ def calibrate_epsilon(
     """Estimate the relay's average symbol error probability for one link."""
     if method == "analytic_approx":
         value = analytic_epsilon_psk(link, spec)
-        return EpsilonEstimate(value=value, method=method, trials=0, std_err=0.0)
+        return EpsilonEstimate(value=value, trials=0, std_err=0.0)
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
     if trials <= 0:
@@ -270,7 +275,7 @@ def calibrate_epsilon(
             f"target {target_std_err:.3g}",
             stacklevel=2,
         )
-    return EpsilonEstimate(value=value, method=method, trials=total, std_err=std_err)
+    return EpsilonEstimate(value=value, trials=total, std_err=std_err)
 
 
 def save_epsilon_table(path, table: dict) -> None:
@@ -290,12 +295,9 @@ def load_epsilon_table(path) -> dict:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            trials = int(row["trials"])
-            method = "monte_carlo" if trials > 0 else "analytic_approx"
             est = EpsilonEstimate(
                 value=float(row["epsilon"]),
-                method=method,
-                trials=trials,
+                trials=int(row["trials"]),
                 std_err=float(row["std_err"]),
             )
             table[(row["kind"], int(row["M"]), float(row["snr_db"]))] = est

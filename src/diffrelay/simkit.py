@@ -192,12 +192,10 @@ class SerPoint:
 
 @dataclass(frozen=True)
 class SerCurve:
-    """Sweep result plus the metadata needed to reproduce it."""
+    """Sweep result with the hash of the plan behind it and its wall time."""
 
     points: tuple[SerPoint, ...]
     plan_hash: str
-    seed: int
-    decoder_kind: str
     wall_time_s: float
 
     def _ok(self) -> list[SerPoint]:
@@ -446,8 +444,6 @@ def run_sweep(plan: ExperimentPlan, workers: int = 1) -> SerCurve:
     return SerCurve(
         points=rows,
         plan_hash=plan.plan_hash(),
-        seed=plan.seed,
-        decoder_kind=plan.decoder.kind,
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -145,19 +145,6 @@ def _quad_inf(f):
     return val
 
 
-def cf_tail(points, p, q, s, w, *, gamma=None, gbar=None):
-    """Pr{t > w} for one link, conditional on gamma or averaged over fading."""
-    lam, kp, km = _cf_params(points, p, q, s)
-    if (gamma is None) == (gbar is None):
-        raise ValueError("pass exactly one of gamma, gbar")
-    if gamma is not None:
-        phi = lambda u: _cf_conditional(u, lam, kp, km, gamma)
-    else:
-        phi = lambda u: _cf_averaged(u, lam, kp, km, gbar)
-    integrand = lambda u: (np.exp(-1j * u * w) * phi(u)).imag / u
-    return 0.5 + _quad_inf(integrand) / math.pi
-
-
 def _cf_mixture_averaged(points, p, q, eps, gbar):
     """Averaged CF of the relay-link statistic under the right-or-wrong mix."""
     m = len(points)

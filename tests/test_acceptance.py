@@ -77,7 +77,7 @@ def analytic_curve(grid, values):
     points = tuple(
         SerPoint(float(db), 0, 1, v, v, v) for db, v in zip(grid, values)
     )
-    return SerCurve(points, "analytic", 0, "pl", 0.0)
+    return SerCurve(points, "analytic", 0.0)
 
 
 def test_criterion_1_clip_thresholds():

@@ -354,6 +354,28 @@ class TestConfigValidation:
             "version": 1, "preset": "fig4_qam", "calibration": cal})
         assert load_config(path).calibration.method == "monte_carlo"
 
+    @pytest.mark.parametrize("key, value, message", [
+        # trials: 0 used to load, and calibrate then stopped with an error
+        # that did not name the key
+        ("trials", 0, "config.calibration.trials must be >= 1, got 0"),
+        # a negative target used to mark every row above target, exit 1
+        ("target_std_err", -1, "config.calibration.target_std_err must be > 0"),
+        ("target_std_err", 0.0, "config.calibration.target_std_err must be > 0"),
+    ])
+    def test_calibration_budget_refused_at_load(self, tmp_path, capsys, key, value,
+                                                message):
+        doc = minimal_doc()
+        doc["calibration"] = {"path": str(tmp_path / "eps.csv"), "grid_db": [10.0],
+                              "method": "monte_carlo", "trials": 1000, key: value}
+        doc["output"] = {"dir": str(tmp_path), "basename": "run"}
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        for verb in ("calibrate", "sweep"):
+            assert main([verb, path]) == 2
+            assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.yaml"]
+
     def test_asymptotic_needs_a_relay(self, tmp_path):
         # n_relays: 0 used to load, and every asymptotic row then failed
         # after the Monte Carlo

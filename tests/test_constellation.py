@@ -108,10 +108,23 @@ class TestNearestNeighbors:
         for i in range(spec.M):
             dist_i = np.abs(spec.points - spec.points[i])
             dist_i[i] = np.inf
-            for j in spec.neighbor_pairs[i]:
+            for j in nearest_neighbors(spec, i):
                 dist_j = np.abs(spec.points - spec.points[j])
                 dist_j[j] = np.inf
                 assert dist_i[j] <= dist_j.min() * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("make,m", [(make_psk, m) for m in (2, 4, 8, 16, 32, 64)]
+                             + [(make_qam, m) for m in (8, 16, 32, 64)])
+    def test_matches_brute_force(self, make, m):
+        spec = make(m)
+        pts = [complex(p) for p in spec.points]
+        for i, p in enumerate(pts):
+            d2 = {j: abs(q - p) ** 2 for j, q in enumerate(pts) if j != i}
+            dmin = min(d2.values())
+            expected = sorted(j for j, d in d2.items() if d - dmin <= 1e-9 * dmin)
+            if make is make_psk:
+                assert expected == sorted({(i - 1) % m, (i + 1) % m})
+            assert nearest_neighbors(spec, i) == expected, (m, i)
 
     def test_bad_index(self):
         spec = make_psk(4)
@@ -125,4 +138,5 @@ def test_spec_is_value_like():
     spec = make_psk(8)
     assert isinstance(spec, ConstellationSpec)
     assert spec.kind == "psk"
-    assert len(spec.neighbor_pairs) == spec.M
+    assert len(spec.points) == spec.M
+    assert all(nearest_neighbors(spec, i) for i in range(spec.M))

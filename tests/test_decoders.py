@@ -30,6 +30,7 @@ from diffrelay.decoders import (
     _certify,
     _counted_ml_decode,
     _counted_pl_decode,
+    _decide,
     _fallback,
     _mixture_log_scores,
     _pairwise_sum,
@@ -264,6 +265,18 @@ class TestMlPsk:
         mix = (1.0 - eps) * ex + eps / 3.0 * (ex.sum(axis=-1, keepdims=True) - ex)
         plain = t0 + np.log(mix)
         np.testing.assert_array_equal(got, np.argmax(plain, axis=-1))
+
+    def test_exact_ties_take_the_lowest_row(self):
+        # candidate-major scores (3, 5): exact ties, a signed-zero tie and a
+        # column of -inf all decide for the lowest tied candidate
+        base = np.array([[0.0, 1.0, -np.inf, 2.0, -0.0],
+                         [3.0, 1.0, -np.inf, 2.0, 0.0],
+                         [3.0, 0.5, -np.inf, 2.0, -1.0]])
+        for cfg, rels in ((DecoderConfig("ml"), np.zeros((3, 0, 5))),
+                          (DecoderConfig("naive_eps0", (0.2,)), np.full((3, 1, 5), 0.7)),
+                          (DecoderConfig("ml", (0.2,)), np.full((3, 1, 5), 0.7))):
+            got, n_fallback = _decide(base.copy(), rels, cfg, ())
+            assert got.tolist() == [1, 0, 0, 0, 0] and n_fallback == 0
 
     def test_rejects_wrong_kind_and_counts(self):
         y_sd, y_rd, nv, _ = psk_obs(make_stream(6, 40), QPSK, 10.0, 1)

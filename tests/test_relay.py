@@ -36,15 +36,14 @@ def link_at(snr_db: float) -> LinkParams:
 
 class TestTypes:
     def test_estimate_validation(self):
-        EpsilonEstimate(value=0.1, method="monte_carlo", trials=10, std_err=0.01)
-        with pytest.raises(ValueError):
-            EpsilonEstimate(value=1.0, method="monte_carlo", trials=10, std_err=0.0)
-        with pytest.raises(ValueError):
-            EpsilonEstimate(value=0.1, method="guess", trials=10, std_err=0.0)
-        with pytest.raises(ValueError):
-            EpsilonEstimate(value=0.1, method="monte_carlo", trials=0, std_err=0.0)
-        with pytest.raises(ValueError):
-            EpsilonEstimate(value=0.1, method="analytic_approx", trials=0, std_err=-1.0)
+        EpsilonEstimate(value=0.1, trials=10, std_err=0.01)
+        EpsilonEstimate(value=0.1, trials=0, std_err=0.0)  # an analytic value
+        with pytest.raises(ValueError, match="value"):
+            EpsilonEstimate(value=1.0, trials=10, std_err=0.0)
+        with pytest.raises(ValueError, match="trials"):
+            EpsilonEstimate(value=0.1, trials=-1, std_err=0.0)
+        with pytest.raises(ValueError, match="std_err"):
+            EpsilonEstimate(value=0.1, trials=0, std_err=-1.0)
 
 
 def pair_frames(y_prev, y_curr):
@@ -384,15 +383,15 @@ class TestEpsilonTable:
     def test_round_trip_exact(self, tmp_path):
         table = {
             ("psk", 4, 20.0): EpsilonEstimate(
-                value=0.017775, method="monte_carlo", trials=1_000_000,
+                value=0.017775, trials=1_000_000,
                 std_err=0.00013215697,
             ),
             ("qam", 16, 12.5): EpsilonEstimate(
-                value=0.33219221100217, method="monte_carlo", trials=50_000,
+                value=0.33219221100217, trials=50_000,
                 std_err=0.002106,
             ),
             ("psk", 2, 10.0): EpsilonEstimate(
-                value=1.0 / 22.0, method="analytic_approx", trials=0, std_err=0.0,
+                value=1.0 / 22.0, trials=0, std_err=0.0,
             ),
         }
         path = tmp_path / "eps.csv"

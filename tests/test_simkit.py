@@ -108,7 +108,7 @@ def synthetic_curve(rows):
     points = tuple(
         SerPoint(db, 0, 1, ser, ser, ser) for db, ser in rows
     )
-    return SerCurve(points, "feed", 0, "pl", 0.0)
+    return SerCurve(points, "feed", 0.0)
 
 
 class TestPolicyAndPlanValidation:
@@ -650,14 +650,14 @@ class TestCurveGeometry:
         zero = SerPoint(10.0, 0, 4096, 0.0, *wilson_interval(0, 4096))
         some = SerPoint(10.0, 50, 4096, 50 / 4096, *wilson_interval(50, 4096))
         ref = SerPoint(10.0, 40, 4096, 40 / 4096, *wilson_interval(40, 4096))
-        a = SerCurve((zero,), "feed", 0, "pl", 0.0)
-        row = compare_curves(a, SerCurve((some,), "feed", 0, "pl", 0.0)).rows[0]
+        a = SerCurve((zero,), "feed", 0.0)
+        row = compare_curves(a, SerCurve((some,), "feed", 0.0)).rows[0]
         half = (zero.ci_high - zero.ci_low) / (2.0 * some.ser)
         assert (row.value, row.low, row.high) == (0.0, 0.0, half) and half > 0.0
         json.dumps([row.value, row.low, row.high], allow_nan=False)
         # a point with errors keeps the quadrature formula, bit for bit
-        b = SerCurve((ref,), "feed", 0, "pl", 0.0)
-        row = compare_curves(SerCurve((some,), "feed", 0, "pl", 0.0), b).rows[0]
+        b = SerCurve((ref,), "feed", 0.0)
+        row = compare_curves(SerCurve((some,), "feed", 0.0), b).rows[0]
         r = some.ser / ref.ser
         half = r * math.hypot((some.ci_high - some.ci_low) / (2.0 * some.ser),
                               (ref.ci_high - ref.ci_low) / (2.0 * ref.ser))
