@@ -130,6 +130,8 @@ def _check_keys(mapping, allowed, where):
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int past float range
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
@@ -409,7 +411,8 @@ def cmd_calibrate(config):
             link = LinkParams(1.0, 10.0 ** (-snr_db / 10.0))
             est = calibrate_epsilon(
                 link, spec, method=cal.method, trials=cal.trials,
-                rng=calibration_stream(config.seed, kind, m, snr_db),
+                rng=calibration_stream(config.seed, kind, m, snr_db)
+                if cal.method == "monte_carlo" else None,
                 target_std_err=cal.target_std_err,
             )
             status = "ok"

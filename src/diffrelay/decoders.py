@@ -24,10 +24,8 @@ chunks of instances and groups of eight rivals, (8, M, chunk), with no table
 of every pair.  Scores are finite or -inf, never NaN, so an argmax is the
 first row holding its column's largest value.  The mixture's maximum down
 the candidate axis is exact.  Its sum of exponentials and the fallback's row
-totals are added in numpy's own pairwise order (Higham, SIAM J. Sci.
-Comput. 14(4), 1993), the order of a row sum over a candidates-last table,
-since rounding decides near ties: summed rival by rival, left to right, the
-totals changed 22 of 2,000 decisions on exact-tie inputs.
+totals add one row at a time in index order, fixed by the code rather than by
+numpy's choice of reduction, so rounding decides near ties alike at any shape.
 
 Blocks.  No kernel scores a whole batch at once, so the working set does not
 grow with it.  PSK decisions depend only on their own sample pairs and are
@@ -105,8 +103,6 @@ _CERT_SLACK = 1e-9
 # arrays take about 0.9 MB at any M, within the (64, M, M) tables they
 # replace at psk-32.
 _FALLBACK_ELEMENTS = 4096
-# numpy's pairwise summation block: a longer row is summed in two parts.
-_PAIRWISE_BLOCK = 128
 # [j, k]: rival j of a group of eight is not candidate k, both counted from
 # the group's first rival
 _OFF_DIAGONAL = ~np.eye(8, dtype=bool)[:, :, None]
@@ -118,9 +114,10 @@ class _Workspace(threading.local):
 
     Each role's flat array grows to the largest request it has served and is
     handed out as a C-contiguous view.  A role belongs to one kernel, and
-    nothing handed out outlives the call that asked for it, except the
-    ``mix`` view ``_mixture_log_scores`` returns to be summed at once.  Both
-    decoders fill ``base`` (M, n) and ``relays`` (M, R, n) for every kind.
+    nothing handed out outlives the call that asked for it, except the views
+    ``_mixture_log_scores`` and ``_row_totals`` return to be read at once.
+    Both decoders fill ``base`` (M, n) and ``relays`` (M, R, n) for every
+    kind.
     """
 
     def __init__(self):
@@ -188,30 +185,23 @@ def _mixture_log_scores(scores, eps):
     scores has candidates on the first axis; entry k of the result is the
     log of (1-eps) exp(scores[k]) + eps/(M-1) sum over i != k of
     exp(scores[i]), evaluated as mx + log((1-eps) e_k + w (S - e_k)) with mx
-    the largest score, e = exp(scores - mx) and S the sum of e in numpy's
-    pairwise order.  With eps > 0 the result is the thread's ``mix``
-    workspace, valid until the next call.
+    the largest score, e = exp(scores - mx) and S the sum of e, added one
+    candidate at a time in index order.  With eps > 0 the result is the
+    thread's ``mix`` workspace, valid until the next call.
     """
     scores = np.asarray(scores, dtype=float)
     if eps == 0.0:
         return scores
     m = scores.shape[0]
-    work = _WORKSPACE.take("mix_exp", (m + 10,) + scores.shape[1:])
-    e, partials, total, mx = work[:m], work[m:m + 8], work[m + 8:m + 9], work[m + 9:]
+    work = _WORKSPACE.take("mix_exp", (m + 2,) + scores.shape[1:])
+    e, total, mx = work[:m], work[m:m + 1], work[m + 1:]
     # a maximum down the candidate axis is exact in any order
     np.max(scores, axis=0, keepdims=True, out=mx)
     np.subtract(scores, mx, out=e)
     np.exp(e, out=e)
-
-    def rows(q, g, dst):
-        # partials are added into, so the rows that start them are copied;
-        # later rows are read in place, and no scratch is written
-        if dst is partials:
-            np.copyto(dst, e[q:q + g])
-            return dst
-        return e[q:q + g]
-
-    _pairwise_sum(rows, 0, m, total, partials, partials[:0])
+    np.copyto(total, e[:1])
+    for row in e[1:]:
+        total += row
     mix = np.subtract(total, e, out=_WORKSPACE.take("mix", scores.shape))
     mix *= eps / (m - 1)
     e *= 1.0 - eps
@@ -235,8 +225,7 @@ def _unanimous(cb, cr, base, rels, thr):
     """
     lam = np.subtract(cb, base, out=_WORKSPACE.take("lam", base.shape))
     total = _WORKSPACE.take("relay_sum", base.shape)
-    # the clipped relay terms are summed in relay order, as a sum over the
-    # relay axis adds them, and then added to lam
+    # the clipped relay terms are summed in relay order, then added to lam
     for r, t in enumerate(thr):
         out = _WORKSPACE.take("relay_term", base.shape) if r else total
         np.subtract(cr[r], rels[:, r], out=out)
@@ -310,103 +299,71 @@ def _sweep(base, rels, thr):
 
 
 def _fallback(base, rels, thresholds):
-    """Each instance's winner from its pairwise statistics, eight rivals at a time.
+    """Each instance's winner from its pairwise statistics (_row_totals).
 
-    lam(k, q) = sum over r of clip(r_k - r_q), in relay order, plus
-    (base_k - base_q), _unanimous's float sum: the row whose entries over
-    q != k are all positive is the unanimous winner (at most one exists),
-    else the largest row total wins, lowest index on ties.  The instances
-    go in chunks of c = _FALLBACK_ELEMENTS // M and the rivals q in groups
-    of up to eight: lam(k, q) for every candidate k against a group's
-    rivals is one (8, M, c) array, and a row is unanimous when its least
-    entry over q != k is positive.  _pairwise_sum adds the groups into the
-    row totals in numpy's pairwise order, so every total equals the sum
-    over q of the row of an (M, M) table of lam, bit for bit.  Returns
-    (winners, number of instances without a unanimous row).
+    The row whose entries over q != k are all positive is the unanimous
+    winner (at most one exists), else the largest row total, its rivals
+    added one at a time in index order, wins, lowest index on ties.  The
+    instances go in chunks of _FALLBACK_ELEMENTS // M.  Returns (winners,
+    number of instances without a unanimous row).
     """
     m, n = base.shape
     chunk = max(1, _FALLBACK_ELEMENTS // m)
     winners = np.empty(n, dtype=np.int64)
     n_fallback = 0
     for lo in range(0, n, chunk):
-        # each term's rows, the relays' and then the base's, as minuends,
-        # (1, M, c), and as rivals, (M, 1, c), with the relay's clip level
-        rows = [*rels[:, :, lo:lo + chunk].transpose(1, 0, 2), base[:, lo:lo + chunk]]
-        terms = [(v[None], v[:, None], t) for v, t in zip(rows, (*thresholds, None))]
-        c = rows[0].shape[1]
-        work = _WORKSPACE.take("fallback", (27, m, c))
-        scratch, term, partials = work[:8], work[8:16], work[16:24]
-        total, least, group_least = work[24:]
-
-        def rivals(q, g, out):
-            # lam(k, q + j) into out[j]: the clipped relay terms in relay
-            # order, then the base term.  Copying the rivals' rows over the
-            # candidates and subtracting from that is faster than one
-            # subtraction broadcast along both axes
-            for i, (v, rival, t) in enumerate(terms):
-                diff = term[:g] if i else out
-                np.copyto(diff, rival[q:q + g])
-                np.subtract(v, diff, out=diff)
-                if t is not None:
-                    diff.clip(-t, t, out=diff)
-                if i:
-                    out += diff
-            # each row's least entry against the rivals so far, its own left out
-            group = group_least if q else least
-            np.minimum.reduce(out, axis=0, out=group)
-            np.minimum.reduce(out[:, q:q + g], axis=0, where=_OFF_DIAGONAL[:g, :g],
-                              initial=np.inf, out=group[q:q + g])
-            if q:
-                np.minimum(least, group_least, out=least)
-            return out
-
-        _pairwise_sum(rivals, 0, m, total, partials, scratch)
+        total, least = _row_totals(base[:, lo:lo + chunk], rels[:, :, lo:lo + chunk],
+                                   thresholds)
         unanimous = least > 0.0
         # a unanimous row, at most one per instance, outranks every total
         np.copyto(total, np.inf, where=unanimous)
-        winners[lo:lo + c] = total.argmax(axis=0)
-        n_fallback += c - int(np.count_nonzero(unanimous))
+        winners[lo:lo + chunk] = total.argmax(axis=0)
+        n_fallback += total.shape[1] - int(np.count_nonzero(unanimous))
     return winners, n_fallback
 
 
-def _pairwise_sum(columns, lo, n, out, partials, scratch):
-    """Sum of columns lo..lo+n into out, in numpy's pairwise summation order.
+def _row_totals(base, rels, thresholds):
+    """Row totals and least off-diagonal entries of the pairwise statistics, (M, c) each.
 
-    columns(q, g, dst) returns columns q..q+g, (g, ...), written into dst,
-    or read in place unless dst is partials, which are added into; partials
-    and scratch have room for eight columns.  np.add.reduce sums a row as
-    numpy's pairwise_sum does (Higham, SIAM J. Sci. Comput. 14(4), 1993): a
-    row longer than _PAIRWISE_BLOCK splits at half its length, rounded down
-    to a multiple of 8, and each part is summed alone; a shorter row of
-    n >= 8 starts eight partial sums with its first eight columns, adds each
-    later group of eight into them, combines them as
-    ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)) and adds its last n mod 8 columns
-    one by one; one under 8 long is summed left to right; and the reduction
-    adds the sum to a 0.0 start.  So out equals np.add.reduce over those
-    columns bit for bit, and an argmax over such sums decides the same.
+    lam(k, q) = sum over r of clip(r_k - r_q), in relay order, plus
+    (base_k - base_q), _unanimous's float sum.  The rivals q go in groups
+    of up to eight: lam(k, q) for every candidate k against a group's
+    rivals is one (8, M, c) array.  total[k] adds lam(k, q) one rival at a
+    time in index order; least[k] is the least lam(k, q) over q != k.  Both
+    are views of the thread's workspace, valid until the next call.
     """
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(columns, lo, half, out, partials, scratch)
-        right = _pairwise_sum(columns, lo + half, n - half, np.empty_like(out),
-                              partials, scratch)
-        return np.add(out, right, out=out)
-    full = n - n % 8 if n >= 8 else 0
-    if full:
-        columns(lo, 8, partials)
-        for q in range(lo + 8, lo + full, 8):
-            partials += columns(q, 8, scratch)
-        np.add(partials[0::2], partials[1::2], out=partials[0::2])
-        np.add(partials[0::4], partials[2::4], out=partials[0::4])
-        np.add(partials[0], partials[4], out=out)
-    else:
-        out.fill(0.0)
-    if full < n:
-        for col in columns(lo + full, n - full, scratch[:n - full]):
-            out += col
-    if full:
-        out += 0.0  # numpy's start value: a sum of -0.0 terms is 0.0
-    return out
+    m, c = base.shape
+    # each term's rows, the relays' and then the base's, as minuends,
+    # (1, M, c), and as rivals, (M, 1, c), with the relay's clip level
+    rows = [*rels.transpose(1, 0, 2), base]
+    terms = [(v[None], v[:, None], t) for v, t in zip(rows, (*thresholds, None))]
+    work = _WORKSPACE.take("fallback", (19, m, c))
+    lam, term, (total, least, group_least) = work[:8], work[8:16], work[16:]
+    total.fill(0.0)
+    least.fill(np.inf)
+    for q in range(0, m, 8):
+        g = min(8, m - q)
+        # lam(k, q + j) into out[j].  Copying the rivals' rows over the
+        # candidates and subtracting from that is faster than one
+        # subtraction broadcast along both axes
+        out = lam[:g]
+        for i, (v, rival, t) in enumerate(terms):
+            diff = term[:g] if i else out
+            np.copyto(diff, rival[q:q + g])
+            np.subtract(v, diff, out=diff)
+            if t is not None:
+                diff.clip(-t, t, out=diff)
+            if i:
+                out += diff
+        # each row's least entry against the group's rivals, its own left out
+        np.minimum.reduce(out, axis=0, out=group_least)
+        np.minimum.reduce(out[:, q:q + g], axis=0, where=_OFF_DIAGONAL[:g, :g],
+                          initial=np.inf, out=group_least[q:q + g])
+        np.minimum(least, group_least, out=least)
+        # the row totals add lam(k, q) one rival at a time in index order
+        for row in out:
+            total += row
+    return total, least
 
 
 def _decide(base, rels, cfg, thresholds):

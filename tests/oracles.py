@@ -1071,8 +1071,9 @@ def pairwise_select_bruteforce(base, rels, thresholds):
 
     base (..., M), rels (..., R, M).  lam[i, j] = base_i - base_j plus the
     relay differences clipped to each relay's threshold; the winner beats
-    every rival (lam > 0), and without one the largest row total wins.
-    Returns (winners, number of instances without a unanimous winner).
+    every rival (lam > 0), and without one the largest row total, added
+    rival by rival in index order, wins.  Returns (winners, number of
+    instances without a unanimous winner).
     """
     base = np.asarray(base, dtype=float)
     m = base.shape[-1]
@@ -1090,7 +1091,7 @@ def pairwise_select_bruteforce(base, rels, thresholds):
             winners[i] = unanimous[0]
         else:
             n_fallback += 1
-            winners[i] = np.argmax(lam.sum(axis=1))
+            winners[i] = np.argmax(np.cumsum(lam, axis=1)[:, -1])
     return winners.reshape(base.shape[:-1]), n_fallback
 
 

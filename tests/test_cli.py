@@ -1,7 +1,9 @@
 """Config loading, presets, and the command-line verbs end to end."""
 
 import json
+import math
 import os
+import re
 
 import pytest
 import yaml
@@ -370,6 +372,39 @@ class TestConfigValidation:
         doc["output"] = {"dir": str(tmp_path), "basename": "run"}
         path = write_yaml(tmp_path / "c.yaml", doc)
         with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        for verb in ("calibrate", "sweep"):
+            assert main([verb, path]) == 2
+            assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.yaml"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        # nan used to load, and the sweep then stopped after its finite
+        # points with "noise_var must be > 0, got nan", writing nothing
+        ("grid_db", [0.0, math.nan], "config.grid_db[1] must be finite, got nan"),
+        ("grid_db", [0.0, math.inf], "config.grid_db[1] must be finite, got inf"),
+        # an infinite stop used to raise an uncaught OverflowError
+        ("grid_db", {"start": 0, "stop": math.inf, "step": 3},
+         "config.grid_db.stop must be finite, got inf"),
+        # an integer past float range used to raise an uncaught OverflowError
+        ("grid_db", [10 ** 400], "config.grid_db[0] must be finite, got 1000"),
+        ("sr_offsets_db", [-math.inf], "config.sr_offsets_db[0] must be finite, got -inf"),
+        ("rd_offsets_db", [math.nan], "config.rd_offsets_db[0] must be finite, got nan"),
+        ("calibration.grid_db", [10.0, math.nan],
+         "config.calibration.grid_db[1] must be finite, got nan"),
+        ("calibration.target_std_err", math.nan,
+         "config.calibration.target_std_err must be finite, got nan"),
+    ])
+    def test_non_finite_numbers_refused_at_load(self, tmp_path, capsys, key, value, message):
+        doc = minimal_doc(decoder={"kind": "pl", "epsilons": [0.01]}, n_relays=1,
+                          tying="custom", sr_offsets_db=[0.0], rd_offsets_db=[0.0])
+        doc["calibration"] = {"path": str(tmp_path / "eps.csv"), "grid_db": [10.0],
+                              "method": "monte_carlo", "trials": 1000}
+        doc["output"] = {"dir": str(tmp_path), "basename": "run"}
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+        path = write_yaml(tmp_path / "c.yaml", doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
         for verb in ("calibrate", "sweep"):
             assert main([verb, path]) == 2

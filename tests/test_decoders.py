@@ -33,7 +33,7 @@ from diffrelay.decoders import (
     _decide,
     _fallback,
     _mixture_log_scores,
-    _pairwise_sum,
+    _row_totals,
     _sweep,
     _tournament,
     clip_threshold,
@@ -187,13 +187,16 @@ class TestMixture:
     @pytest.mark.parametrize("lead", [(37,), (3, 29)])
     def test_matches_reduction_max_bit_for_bit(self, m, lead):
         # candidate-major scores must give exactly the instance-major
-        # formula, whose sum runs along each row in numpy's pairwise order,
-        # exact ties and scores near +-700 included; as a view of a relay
-        # axis too, as the decoders pass it
+        # formula, whose sum adds the candidates in index order, exact ties
+        # and scores near +-700 included; as a view of a relay axis too, as
+        # the decoders pass it
         def reference(scores, eps):
             mx = scores.max(axis=-1, keepdims=True)
             e = np.exp(scores - mx)
-            mix = e.sum(axis=-1, keepdims=True) - e
+            total = e[..., :1].copy()
+            for k in range(1, e.shape[-1]):
+                total += e[..., k:k + 1]
+            mix = total - e
             mix *= eps / (scores.shape[-1] - 1)
             mix += (1.0 - eps) * e
             return np.log(mix) + mx
@@ -1006,44 +1009,6 @@ class TestFallbackChunks:
         np.testing.assert_array_equal(winners, expect[0])
 
 
-def pairwise_sum_rows(x):
-    """_pairwise_sum over the columns of x (rows, n), fed one group at a time."""
-    rows, n = x.shape
-
-    def columns(q, g, dst):
-        dst[...] = x.T[q:q + g]
-        return dst
-
-    out = np.empty(rows)
-    return _pairwise_sum(columns, 0, n, out, np.empty((8, rows)), np.empty((8, rows)))
-
-
-def left_to_right(x):
-    total = np.zeros(x.shape[0])
-    for col in x.T:
-        total += col
-    return total
-
-
-class TestPairwiseOrder:
-    """The fallback's row totals add in numpy's own pairwise order."""
-
-    @pytest.mark.parametrize("n", [*range(2, 41), 64, 127, 128, 129, 200])
-    def test_equals_numpy_reduction_bit_for_bit(self, n):
-        # magnitudes spread over many orders, so any other grouping of the
-        # additions rounds differently on some row; this fails if numpy's
-        # summation order changes
-        rng = make_stream(48, n)
-        x = np.exp(rng.normal(0.0, 5.0, size=(200, n))) * rng.choice([-1.0, 1.0], size=(200, n))
-        x[0] = -0.0  # numpy starts its sum at 0.0, so this row sums to 0.0
-        x[1] = 0.0
-        got = pairwise_sum_rows(x)
-        expect = np.add.reduce(x, axis=-1)
-        np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
-        if n > 8:  # the test can tell the orders apart
-            assert not np.array_equal(left_to_right(x), expect)
-
-
 class TestFallback:
     """_fallback decides as the all-pairs rule does, the instance chunks included."""
 
@@ -1063,7 +1028,7 @@ class TestFallback:
     def test_matches_all_pairs_rule(self, n_rel, m):
         # T < 0 makes np.clip return the constant T, so lam is not
         # antisymmetric; the instances end inside one chunk and one past it;
-        # rows of 136 split in numpy's pairwise order
+        # rows of 136 span seventeen groups of eight rivals
         chunk = _FALLBACK_ELEMENTS // m
         rng = make_stream(49, m, n_rel)
         for n in (chunk - 1, chunk + 1):
@@ -1073,6 +1038,124 @@ class TestFallback:
                 expect = pairwise_select_bruteforce(base, rels, thr)
                 np.testing.assert_array_equal(winners, expect[0])
                 assert n_fallback == expect[1]
+
+
+def mixture_by_loop(scores, eps):
+    """_mixture_log_scores of candidate-major scores (M, n), candidates added in a loop."""
+    m = scores.shape[0]
+    mx = scores.max(axis=0)
+    e = np.exp(scores - mx)
+    total = e[0].copy()
+    for k in range(1, m):
+        total += e[k]
+    return np.log((total - e) * (eps / (m - 1)) + e * (1.0 - eps)) + mx
+
+
+def row_totals_by_loop(base, rels, thresholds):
+    """Row totals of the pairwise statistics, (M, n), R >= 1, every addition in a loop.
+
+    lam(k, q) adds the clipped relay terms in relay order, then the base
+    term; total[k] adds lam(k, q) over q in index order.
+    """
+    m = base.shape[0]
+    total = np.empty_like(base)
+    for k in range(m):
+        for q in range(m):
+            terms = [np.clip(rels[k, r] - rels[q, r], -t, t) for r, t in enumerate(thresholds)]
+            lam = terms[0]
+            for term in [*terms[1:], base[k] - base[q]]:
+                lam = lam + term
+            total[k] = lam if q == 0 else total[k] + lam
+    return total
+
+
+class TestShapeIndependence:
+    """The mixture's and the fallback's sums add in index order at any shape.
+
+    One instance alone (n = 1, where np.sum down the candidate axis would
+    sum pairwise), inside a 4,096-pair block, and through the strided
+    rels[:, r] view of a (M, R, n) block must all give the loop's bits.
+    """
+
+    N = 4096
+
+    @staticmethod
+    def statistics(m, n_rel, n, seed):
+        """(base (M, n), rels (M, R, n)) with magnitudes spread over decades."""
+        rng = make_stream(50, m, n_rel, seed)
+        base = rng.normal(scale=5.0, size=(m, n))
+        rels = rng.normal(scale=5.0, size=(m, n_rel, n)) * np.exp(
+            rng.normal(scale=2.0, size=(m, n_rel, n)))
+        return base, rels
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_mixture_and_ml_decisions(self, m):
+        base, rels = self.statistics(m, 3, self.N, 0)
+        epsilons = (0.05, 0.2, 0.5)
+        score = base.copy()
+        for r, eps in enumerate(epsilons):
+            expect = mixture_by_loop(rels[:, r], eps)
+            score += expect
+            np.testing.assert_array_equal(_mixture_log_scores(rels[:, r], eps), expect)
+            block = np.ascontiguousarray(rels[:, r])
+            np.testing.assert_array_equal(_mixture_log_scores(block, eps), expect)
+            for j in range(0, self.N, 7):
+                one = _mixture_log_scores(block[:, j:j + 1], eps)
+                np.testing.assert_array_equal(one[:, 0], expect[:, j])
+        expect_dec = np.argmax(score, axis=0)
+        cfg = DecoderConfig(kind="ml", epsilons=epsilons)
+        thr = cfg.resolved_thresholds(m)
+        got, _ = _decide(base.copy(), rels, cfg, thr)
+        np.testing.assert_array_equal(got, expect_dec)
+        for j in range(0, self.N, 7):
+            one, _ = _decide(base[:, j:j + 1].copy(), rels[:, :, j:j + 1], cfg, thr)
+            assert one[0] == expect_dec[j]
+
+    @pytest.mark.parametrize("n_rel", [1, 3])
+    @pytest.mark.parametrize("m", [16, 40])
+    def test_fallback_totals_and_decisions(self, m, n_rel):
+        base, rels = self.statistics(m, n_rel, self.N, 1)
+        # integer statistics make many totals tie before rounding
+        base[:, ::2] = np.round(base[:, ::2])
+        rels[:, :, ::2] = np.round(rels[:, :, ::2])
+        thresholds = (1.5, 3.0, 0.7)[:n_rel]
+        expect = row_totals_by_loop(base, rels, thresholds)
+        chunk = _FALLBACK_ELEMENTS // m
+        wide = np.empty((m, n_rel, 2 * self.N))
+        wide[:, :, ::2] = rels  # rels again, as a strided view
+        for given in (rels, wide[:, :, ::2]):
+            for lo in range(0, self.N, chunk):
+                total, _ = _row_totals(base[:, lo:lo + chunk], given[:, :, lo:lo + chunk],
+                                       thresholds)
+                np.testing.assert_array_equal(total, expect[:, lo:lo + chunk])
+        for j in range(0, self.N, 7):
+            total, _ = _row_totals(base[:, j:j + 1], rels[:, :, j:j + 1], thresholds)
+            np.testing.assert_array_equal(total[:, 0], expect[:, j])
+        winners, n_fallback = _fallback(base, rels, thresholds)
+        oracle = pairwise_select_bruteforce(base.T, rels.T, thresholds)
+        np.testing.assert_array_equal(winners, oracle[0])
+        assert n_fallback == oracle[1] > 0
+        strided, _ = _fallback(base, wide[:, :, ::2], thresholds)
+        np.testing.assert_array_equal(strided, winners)
+        for j in range(0, self.N, 7):
+            one, _ = _fallback(base[:, j:j + 1], rels[:, :, j:j + 1], thresholds)
+            assert one[0] == winners[j]
+
+    @pytest.mark.parametrize("n_rel", [1, 3])
+    @pytest.mark.parametrize("kind", ["ml", "pl"])
+    def test_qam_frames_alone_and_together(self, kind, n_rel):
+        rng = make_stream(51, n_rel, len(kind))
+        idx, y_sd, y_rd, nv, rd_nvs, _ = TestKernelOracles().qam_frames(
+            rng, n_rel, n_batch=37, n_data=8, snr_db=6.0)
+        cfg = DecoderConfig(kind=kind, epsilons=tuple(0.05 + 0.05 * r for r in range(n_rel)))
+        together, together_fb = decode_qam_frames(y_sd, y_rd, nv, rd_nvs, QAM16, cfg)
+        alone_fb = 0
+        for b in range(37):
+            alone, fb = decode_qam_frames(y_sd[b:b + 1], y_rd[:, b:b + 1], nv, rd_nvs,
+                                          QAM16, cfg)
+            np.testing.assert_array_equal(alone[0], together[b])
+            alone_fb += fb
+        assert alone_fb == together_fb
 
 
 def traced_peak_bytes(fn):
