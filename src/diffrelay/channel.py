@@ -40,17 +40,21 @@ def make_stream(seed: int, *path: int, salt: int = _STREAM_SALT) -> np.random.Ge
 
     Identical arguments always produce the identical draw sequence, on any
     worker; distinct paths give statistically independent streams.  The
-    salt is the second word of the key: every simulation stream has the
-    default, so a stream with another salt shares no address with any.
+    seed is the first word of the key, so one outside [0, 2**64) is refused
+    rather than folded onto another seed's streams.  The salt is the second
+    word: every simulation stream has the default, so a stream with another
+    salt shares no address with any.
     """
     if len(path) > 3:
         raise ValueError(f"stream path supports at most 3 components, got {len(path)}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"stream seed must lie in [0, 2**64), got {seed}")
     counter = [0, 0, 0, 0]
     for i, part in enumerate(path):
         if part < 0:
             raise ValueError(f"stream path components must be >= 0, got {part}")
         counter[1 + i] = int(part) & _MASK64
-    key = [int(seed) & _MASK64, salt]
+    key = [int(seed), salt]
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 

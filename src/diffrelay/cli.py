@@ -117,6 +117,7 @@ _PRESETS = {
         "psk", (4,), ("pl",), n_relays=n, analysis={"asymptotic": True})], []),
 }
 _PRESET_GRID = {"start": 0, "stop": 36, "step": 3}
+_MAX_GRID_POINTS = 10_000
 
 
 def _check_keys(mapping, allowed, where):
@@ -150,6 +151,12 @@ def _integer(value, where):
     return int(value)
 
 
+def _text(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _flag(value, where):
     """A YAML boolean; a string such as "off" or a number is refused."""
     if not isinstance(value, bool):
@@ -168,7 +175,10 @@ def _grid_from(value, where):
         if step <= 0.0 or stop < start:
             raise ConfigError(f"{where} range must have step > 0 and stop >= start")
         # floor with a little slack, so no point lands past stop
-        count = int((stop - start) / step + 1e-9) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < _MAX_GRID_POINTS:  # an infinite quotient too
+            raise ConfigError(f"{where} range must have at most {_MAX_GRID_POINTS} points")
+        count = int(steps) + 1
         return tuple(round(start + i * step, 9) for i in range(count))
     if isinstance(value, (list, tuple)):
         if not value:
@@ -307,6 +317,7 @@ def load_config(path, *, seed=None, output_dir=None):
     if preset is None:
         fragments, entries = (doc,), doc.get("compare", [])
     else:
+        _text(preset, "config.preset")
         extra = sorted(set(doc) - _PRESET_OVERRIDE_KEYS)
         if extra:
             raise ConfigError(
@@ -320,6 +331,8 @@ def load_config(path, *, seed=None, output_dir=None):
         fragments = [dict(fragment, grid_db=grid) for fragment in fragments]
 
     run_seed = _integer(doc.get("seed", 0) if seed is None else seed, "config.seed")
+    if not 0 <= run_seed < 1 << 64:
+        raise ConfigError(f"config.seed must lie in [0, 2**64), got {run_seed}")
     frame_len = _integer(doc.get("frame_len", 64), "config.frame_len")
     trials = _trials_from(doc.get("trials", {}), "config.trials")
 
@@ -347,8 +360,8 @@ def load_config(path, *, seed=None, output_dir=None):
                 raise ConfigError(
                     f"config.calibration.target_std_err must be > 0, got {target!r}")
         calibration = CalibrationConfig(
-            path=str(cal["path"]), grid_db=cal_grid, method=method,
-            trials=cal_trials, target_std_err=target,
+            path=_text(cal["path"], "config.calibration.path"), grid_db=cal_grid,
+            method=method, trials=cal_trials, target_std_err=target,
         )
 
     try:
@@ -379,12 +392,13 @@ def load_config(path, *, seed=None, output_dir=None):
 
     out = doc.get("output", {})
     _check_keys(out, _OUTPUT_KEYS, "config.output")
+    out = {key: _text(value, f"config.output.{key}") for key, value in out.items()}
     resolved_dir = output_dir or out.get("dir") or os.environ.get(OUTPUT_DIR_ENV) or "."
     default_base = os.path.splitext(os.path.basename(path))[0]
-    basename = out.get("basename", default_base)
     return RunConfig(
         jobs=jobs, compare=tuple(comparisons), calibration=calibration,
-        output_dir=str(resolved_dir), basename=str(basename), seed=run_seed,
+        output_dir=str(resolved_dir), basename=out.get("basename", default_base),
+        seed=run_seed,
     )
 
 
@@ -413,7 +427,6 @@ def cmd_calibrate(config):
                 link, spec, method=cal.method, trials=cal.trials,
                 rng=calibration_stream(config.seed, kind, m, snr_db)
                 if cal.method == "monte_carlo" else None,
-                target_std_err=cal.target_std_err,
             )
             status = "ok"
             if cal.target_std_err is not None and est.std_err > cal.target_std_err:
@@ -497,7 +510,6 @@ def cmd_sweep(config, workers=1):
     rows = []
     summary_curves = []
     curves_by_label = {}
-    failed = False
     for job in config.jobs:
         plan = replace(job.plan, epsilon_table=eps_table)
         curve = run_sweep(plan, workers=workers)
@@ -519,14 +531,11 @@ def cmd_sweep(config, workers=1):
             # always empty, no evaluator warns; kept for the JSON layout
             "analysis_warnings": [],
         }
-        if curve.failures:
-            failed = True
         for source in job.analysis:
             for index, snr_db in enumerate(plan.snr_grid_db):
                 try:
                     ser = _analysis_row_value(source, plan, index).value
                 except ValueError as exc:
-                    failed = True
                     entry["failures"].append(
                         {"snr_db": snr_db, "reason": f"{source}: {exc}"}
                     )
@@ -550,18 +559,19 @@ def cmd_sweep(config, workers=1):
     csv_path = os.path.join(config.output_dir, f"{config.basename}.csv")
     json_path = os.path.join(config.output_dir, f"{config.basename}.json")
     write_rows(csv_path, rows)
+    all_ok = not any(entry["failures"] for entry in summary_curves)
     summary = {
         "version": 1,
         "basename": config.basename,
         "curves": summary_curves,
         "comparisons": comparisons,
-        "all_points_ok": not failed,
+        "all_points_ok": all_ok,
     }
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(f"wrote {csv_path} ({len(rows)} rows) and {json_path}")
-    return 1 if failed else 0
+    return 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +169,8 @@ def relay_process_frame(
 
 def _simulate_error_fraction(
     link: LinkParams, spec: ConstellationSpec, trials: int, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Count relay demodulation errors over independent fading realizations.
+) -> int:
+    """Count relay demodulation errors over ``trials`` independent fading realizations.
 
     Each trial draws its own gain and a fresh symbol pair, so outcomes are
     i.i.d. and the binomial standard error of the frequency is exact.  QAM
@@ -179,7 +178,6 @@ def _simulate_error_fraction(
     constellation.
     """
     errors = 0
-    total = 0
     chunk = 1 << 16
     for start in range(0, trials, chunk):
         b = min(chunk, trials - start)
@@ -201,8 +199,7 @@ def _simulate_error_fraction(
                 obj = qam_objective(y[blk, 0], y[blk, 1], link.noise_var, spec, iprev[blk] + 1)
                 d[blk] = np.argmin(obj, axis=-1)
         errors += int(np.count_nonzero(d != idx))
-        total += b
-    return errors, total
+    return errors
 
 
 def analytic_epsilon_psk(link: LinkParams, spec: ConstellationSpec) -> float:
@@ -253,7 +250,6 @@ def calibrate_epsilon(
     trials: int = 1_000_000,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-    target_std_err: float | None = None,
 ) -> EpsilonEstimate:
     """Estimate the relay's average symbol error probability for one link."""
     if method == "analytic_approx":
@@ -266,16 +262,9 @@ def calibrate_epsilon(
     if rng is None:
         snr_code = int(round(10.0 * math.log10(link.avg_snr) * 100.0)) % (1 << 64)
         rng = make_stream(seed, spec.M, snr_code)
-    errors, total = _simulate_error_fraction(link, spec, trials, rng)
-    value = errors / total
-    std_err = math.sqrt(max(value * (1.0 - value), 1.0 / total) / total)
-    if target_std_err is not None and std_err > target_std_err:
-        warnings.warn(
-            f"calibration budget too small: std_err {std_err:.3g} exceeds "
-            f"target {target_std_err:.3g}",
-            stacklevel=2,
-        )
-    return EpsilonEstimate(value=value, trials=total, std_err=std_err)
+    value = _simulate_error_fraction(link, spec, trials, rng) / trials
+    std_err = math.sqrt(max(value * (1.0 - value), 1.0 / trials) / trials)
+    return EpsilonEstimate(value=value, trials=trials, std_err=std_err)
 
 
 def save_epsilon_table(path, table: dict) -> None:

@@ -384,39 +384,25 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                         wall_s=time.perf_counter() - start)
     decoder_cfg = replace(plan.decoder, epsilons=eps)
 
+    # the budget is whole frames in batches of per_batch; only the last is short
     length = plan.frame_len
-    frames_per_batch = max(1, _BATCH_SYMBOL_TARGET // length)
-    errors = 0
-    trials = 0
-    n_frames = 0
-    sum_sq = 0
-    fallbacks = 0
-    batch = 0
-    rounds = 0
+    per_batch = max(1, _BATCH_SYMBOL_TARGET // length)
+    budget = plan.trials.max_trials // length
+    n_batches = -(-budget // per_batch)
+    errors = sum_sq = fallbacks = batch = rounds = 0
 
     def simulate(share):
         return _simulate_batch(plan, index, share, decoder_cfg)
 
     # no round has more batches than the first: the budget's, up to _ROUND_BATCHES
-    budget_batches = -(-(plan.trials.max_trials // length) // frames_per_batch)
-    threads = max(1, min(workers, _usable_cpus(), _ROUND_BATCHES, budget_batches))
+    threads = max(1, min(workers, _usable_cpus(), _ROUND_BATCHES, n_batches))
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     with pool or contextlib.nullcontext():
         run_jobs = pool.map if pool else map
-        while errors < plan.trials.min_errors and trials < plan.trials.max_trials:
-            jobs = []
-            budget_frames = (plan.trials.max_trials - trials) // length
-            if budget_frames == 0:
-                break
-            for _ in range(_ROUND_BATCHES):
-                if budget_frames == 0:
-                    break
-                take = min(frames_per_batch, budget_frames)
-                jobs.append((batch, take))
-                budget_frames -= take
-                n_frames += take
-                batch += 1
-            trials = n_frames * length
+        while errors < plan.trials.min_errors and batch < n_batches:
+            jobs = [(b, min(per_batch, budget - b * per_batch))
+                    for b in range(batch, min(batch + _ROUND_BATCHES, n_batches))]
+            batch += len(jobs)
             rounds += 1
             size = -(-len(jobs) // threads) if plan.spec.kind == "qam" else 1
             shares = [jobs[i:i + size] for i in range(0, len(jobs), size)]
@@ -424,6 +410,8 @@ def run_point(plan: ExperimentPlan, index: int, workers: int = 1) -> SerPoint:
                 errors += err
                 sum_sq += sq
                 fallbacks += fb
+    n_frames = min(batch * per_batch, budget)
+    trials = n_frames * length
     deff = _design_effect(trials, n_frames, errors, sum_sq)
     lo, hi = wilson_interval(errors, trials, trials / deff)
     stop = "min_errors" if errors >= plan.trials.min_errors else "max_trials"

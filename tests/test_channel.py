@@ -52,6 +52,13 @@ class TestStreams:
         with pytest.raises(ValueError):
             make_stream(0, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # these used to be masked to 64 bits, giving the streams of another seed
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            make_stream(seed, 1)
+        assert make_stream(2**64 - 1, 1).random() != make_stream(0, 1).random()
+
 
 class TestBlockGain:
     def test_degenerate_variance(self):

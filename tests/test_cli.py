@@ -100,6 +100,25 @@ def minimal_doc(**overrides):
     return doc
 
 
+def assert_refused_at_load(tmp_path, capsys, key, value, message):
+    """A config with ``key`` (dotted) set to ``value`` is refused at load with
+    ``message``, and calibrate and sweep exit 2 without writing a file."""
+    doc = minimal_doc(decoder={"kind": "pl", "epsilons": [0.01]}, n_relays=1,
+                      tying="custom", sr_offsets_db=[0.0], rd_offsets_db=[0.0])
+    doc["calibration"] = {"path": str(tmp_path / "eps.csv"), "grid_db": [10.0],
+                          "method": "monte_carlo", "trials": 1000}
+    doc["output"] = {"dir": str(tmp_path), "basename": "run"}
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    path = write_yaml(tmp_path / "c.yaml", doc)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    for verb in ("calibrate", "sweep"):
+        assert main([verb, path]) == 2
+        assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.yaml"]
+
+
 def assert_closed_form_rows_exact(csv_path, eps_path, grid_db):
     """Every closed_form row equals the exact-law SER at its calibrated epsilon."""
     eps = {key: est.value for key, est in load_epsilon_table(str(eps_path)).items()}
@@ -396,20 +415,39 @@ class TestConfigValidation:
          "config.calibration.target_std_err must be finite, got nan"),
     ])
     def test_non_finite_numbers_refused_at_load(self, tmp_path, capsys, key, value, message):
-        doc = minimal_doc(decoder={"kind": "pl", "epsilons": [0.01]}, n_relays=1,
-                          tying="custom", sr_offsets_db=[0.0], rd_offsets_db=[0.0])
-        doc["calibration"] = {"path": str(tmp_path / "eps.csv"), "grid_db": [10.0],
-                              "method": "monte_carlo", "trials": 1000}
+        assert_refused_at_load(tmp_path, capsys, key, value, message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        # seeds outside 64 bits used to run on the streams of seed mod 2**64
+        ("seed", 2**64, "config.seed must lie in [0, 2**64), got 18446744073709551616"),
+        ("seed", -1, "config.seed must lie in [0, 2**64), got -1"),
+        # a list or mapping used to end in an uncaught TypeError
+        ("preset", ["fig6"], "config.preset must be a string, got ['fig6']"),
+        ("preset", {"fig6": 1}, "config.preset must be a string, got {'fig6': 1}"),
+        # these used to write ['x'].csv, write into ./5 and read the path 5
+        ("output.basename", ["x"], "config.output.basename must be a string, got ['x']"),
+        ("output.dir", 5, "config.output.dir must be a string, got 5"),
+        ("calibration.path", 5, "config.calibration.path must be a string, got 5"),
+        # an infinite point count used to raise an uncaught OverflowError, and
+        # 10**12 points would have been built one by one
+        ("grid_db", {"start": 0, "stop": 1e300, "step": 1e-300},
+         "config.grid_db range must have at most 10000 points"),
+        ("grid_db", {"start": 0, "stop": 1e12, "step": 1},
+         "config.grid_db range must have at most 10000 points"),
+        ("calibration.grid_db", {"start": 0, "stop": 1e4, "step": 1},
+         "config.calibration.grid_db range must have at most 10000 points"),
+    ])
+    def test_bad_values_refused_at_load(self, tmp_path, capsys, key, value, message):
+        assert_refused_at_load(tmp_path, capsys, key, value, message)
+
+    def test_seed_flag_outside_64_bits_refused(self, tmp_path, capsys):
+        doc = minimal_doc(decoder={"kind": "pl", "epsilons": [0.01]})
         doc["output"] = {"dir": str(tmp_path), "basename": "run"}
-        section, _, name = key.rpartition(".")
-        (doc[section] if section else doc)[name] = value
         path = write_yaml(tmp_path / "c.yaml", doc)
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            load_config(path)
-        for verb in ("calibrate", "sweep"):
-            assert main([verb, path]) == 2
-            assert message in capsys.readouterr().err
+        assert main(["sweep", path, "--seed", str(2**64)]) == 2
+        assert "config.seed must lie in [0, 2**64)" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.yaml"]
+        assert load_config(path, seed=2**64 - 1).jobs[0].plan.seed == 2**64 - 1
 
     def test_asymptotic_needs_a_relay(self, tmp_path):
         # n_relays: 0 used to load, and every asymptotic row then failed
@@ -574,7 +612,7 @@ class TestCalibrateCommand:
         ratio = table[("psk", 4, 30.0)].value / table[("psk", 4, 33.0)].value
         assert 2.0 * 0.7 < ratio < 2.0 * 1.3
 
-    def test_monte_carlo_budget_violation_exits_nonzero(self, tmp_path):
+    def test_monte_carlo_budget_violation_exits_nonzero(self, tmp_path, capsys):
         doc = minimal_doc()
         doc["calibration"] = {
             "path": str(tmp_path / "eps.csv"),
@@ -584,8 +622,9 @@ class TestCalibrateCommand:
             "target_std_err": 1e-6,
         }
         cfg = load_config(write_yaml(tmp_path / "c.yaml", doc))
-        with pytest.warns(UserWarning, match="calibration budget too small"):
-            assert cmd_calibrate(cfg) == 1
+        assert cmd_calibrate(cfg) == 1
+        (line,) = [row for row in capsys.readouterr().out.splitlines() if "10 dB" in row]
+        assert line.startswith("psk-4 10 dB: eps=") and line.endswith("(std_err above target)")
         est = load_epsilon_table(str(tmp_path / "eps.csv"))[("psk", 4, 10.0)]
         assert est.std_err > 1e-6
         assert est.trials >= 2000

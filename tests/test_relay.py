@@ -353,11 +353,6 @@ class TestCalibrateEpsilon:
         est = calibrate_epsilon(link_at(20.0), QAM16, trials=50_000, seed=0)
         assert 0.0 < est.value < 0.5
 
-    def test_budget_warning(self):
-        with pytest.warns(UserWarning):
-            calibrate_epsilon(link_at(20.0), QPSK, trials=1000, seed=0,
-                              target_std_err=1e-6)
-
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             calibrate_epsilon(link_at(20.0), QPSK, trials=0)

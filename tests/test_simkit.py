@@ -379,18 +379,24 @@ class TestRunPoint:
         pt = run_point(plan, 0)
         assert pt.fallbacks > 0
 
-    def test_stop_reason_and_rounds(self):
+    @pytest.mark.parametrize("frame_len, max_trials, low, high", [
         # one round of 8 x 8192 symbols reaches 10 errors at 0 dB; at 30 dB
         # the budget of two rounds and one frame runs out first, and its
         # last round holds that one frame
-        eps = (0.02,)
-        plan = ExperimentPlan(QPSK, DecoderConfig("pl", eps), (0.0, 30.0), frame_len=64,
-                              trials=TrialsPolicy(10, 2 * 65_536 + 64), seed=2)
-        low, high = run_point(plan, 0), run_point(plan, 1)
-        assert (low.stop_reason, low.rounds, low.trials) == ("min_errors", 1, 65_536)
-        assert low.errors >= 10
-        assert (high.stop_reason, high.rounds, high.trials) == ("max_trials", 3, 2 * 65_536 + 64)
-        assert high.errors < 10
+        (64, 2 * 65_536 + 64, (34_273, 65_536, 1, "min_errors"),
+         (2, 2 * 65_536 + 64, 3, "max_trials")),
+        # 90 frames of 100 symbols: one round of batches of 81 and 9 frames
+        (100, 9_001, (4_629, 9_000, 1, "min_errors"), (0, 9_000, 1, "max_trials")),
+        # 700 frames: a round of eight 81-frame batches, then one of 52
+        (100, 70_001, (34_252, 64_800, 1, "min_errors"), (1, 70_000, 2, "max_trials")),
+    ])
+    def test_stop_reason_and_rounds(self, frame_len, max_trials, low, high):
+        # the error counts also pin the frames simulated to the trials reported
+        plan = ExperimentPlan(QPSK, DecoderConfig("pl", (0.02,)), (0.0, 30.0),
+                              frame_len=frame_len, trials=TrialsPolicy(10, max_trials), seed=2)
+        for index, want in enumerate((low, high)):
+            point = run_point(plan, index)
+            assert (point.errors, point.trials, point.rounds, point.stop_reason) == want
         failed = run_point(ExperimentPlan(QPSK, DecoderConfig("pl"), (10.0,)), 0)
         assert (failed.stop_reason, failed.rounds) == (None, 0)
 
