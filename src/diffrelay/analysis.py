@@ -104,8 +104,6 @@ class PepTermsConfig:
         if int(self.m) != self.m or self.m < 2:
             raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
         threshold = clip_threshold(self.m, self.eps)
         if threshold < 0.0:
             raise ValueError(
@@ -227,9 +225,7 @@ def _pep_value(x_p: complex, x_q: complex, cfg: PepTermsConfig, exact: bool) -> 
     i1 = float(_laplace_tail(t, nu_sd, mu_sd)) * float(mix @ _laplace_tail(t, mu_rd, nu_rd))
     i2 = float(_laplace_tail(-t, nu_sd, mu_sd)) * float(mix @ _laplace_tail(t, nu_rd, mu_rd))
 
-    if t <= 0.0:
-        mid = 0.0
-    elif exact:
+    if exact:
         mid = float(mix @ _clip_integral(t, nu_rd, mu_rd, nu_sd, mu_sd))
     else:
         nodes, weights = _legendre_rule()

@@ -22,7 +22,9 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import yaml
@@ -68,6 +70,14 @@ _POINT_FIELDS = ("snr_db", "errors", "trials", "fallbacks", "stop_reason", "roun
 
 class ConfigError(ValueError):
     """A config document that fails schema or value validation."""
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loader that reads ``1e-4`` and ``2e4`` as floats, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +189,17 @@ def _grid_from(value, where):
         if not steps < _MAX_GRID_POINTS:  # an infinite quotient too
             raise ConfigError(f"{where} range must have at most {_MAX_GRID_POINTS} points")
         count = int(steps) + 1
-        return tuple(round(start + i * step, 9) for i in range(count))
-    if isinstance(value, (list, tuple)):
+        grid = tuple(round(start + i * step, 9) for i in range(count))
+    elif isinstance(value, (list, tuple)):
         if not value:
             raise ConfigError(f"{where} must not be empty")
-        return _numbers(value, where)
-    raise ConfigError(f"{where} must be a list or a start/stop/step mapping")
+        grid = _numbers(value, where)
+    else:
+        raise ConfigError(f"{where} must be a list or a start/stop/step mapping")
+    repeated = [v for v, n in Counter(grid).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"{where} repeats {min(repeated):g} dB; each value must appear once")
+    return grid
 
 
 def _spec_from(mapping, where):
@@ -305,7 +320,7 @@ def _job_from(doc, trials, seed, frame_len):
 def load_config(path, *, seed=None, output_dir=None):
     """Parse and validate a YAML run config; overrides win over the file."""
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=_Loader)
     if doc is None:
         doc = {}
     _check_keys(doc, _TOP_KEYS, "config")
@@ -466,12 +481,10 @@ def _analysis_row_value(source, plan, index):
     spec = plan.spec
     snr_db = plan.snr_grid_db[index]
     if source == "asymptotic":
-        gbar = 10.0 ** (snr_db / 10.0)
         cfg = PepTermsConfig(SnrPoint.from_db(snr_db, snr_db), 1e-6, spec.M)
-        n = plan.n_relays
 
-        def pep_fn(x_p, x_q, inner_cfg):
-            return pep_asymptotic_multirelay(x_p, x_q, n, gbar, inner_cfg)
+        def pep_fn(x_p, x_q, cfg):
+            return pep_asymptotic_multirelay(x_p, x_q, plan.n_relays, cfg.snr_point.gamma_sd, cfg)
 
         return ser_nearest_neighbor(spec, pep_fn, cfg)
     sd_db, (sr_db,), (rd_db,) = plan._link_db(index)

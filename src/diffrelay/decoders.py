@@ -80,7 +80,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import make_stream
 from .constellation import make_psk
 from .relay import pair_products, psk_sector, qam_objective
 
@@ -605,22 +604,13 @@ def _counted_pl_decode(sd_pair, rd_pair, points, threshold, sd_noise_var, rd_noi
     return champ, counter.n
 
 
-def _count_ops_instance(m: int):
-    """Deterministic synthetic single-relay observation for op counting."""
-    rng = make_stream(202, m)
-    vals = rng.normal(size=8)
-    sd_pair = (complex(vals[0], vals[1]), complex(vals[2], vals[3]))
-    rd_pair = (complex(vals[4], vals[5]), complex(vals[6], vals[7]))
-    return sd_pair, rd_pair
-
-
 def count_ops(kind: str, m: int) -> int:
     """Measured real additions plus multiplications of one PSK decode call."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     kind = kind.lower()
     spec = make_psk(m)
-    sd_pair, rd_pair = _count_ops_instance(m)
+    sd_pair = rd_pair = (1 + 0j, 1j)  # no count depends on the samples
     eps = 1e-2
     if kind == "ml":
         _, ops = _counted_ml_decode(sd_pair, rd_pair, spec.points, eps, 0.1, 0.1)

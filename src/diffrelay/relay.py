@@ -138,8 +138,6 @@ def demod_qam_frame(
     y = np.asarray(y)
     n_data = y.shape[-1] - 1
     decisions = np.empty(y.shape[:-1] + (n_data,), dtype=np.int64)
-    if decisions.size == 0:  # nothing to decide, e.g. a stack of no relays
-        return decisions
     row = np.zeros(y.shape[:-1], dtype=np.int64)
     for n in range(n_data):
         d = np.argmin(qam_objective(y[..., n], y[..., n + 1], noise_var, spec, row), axis=-1)

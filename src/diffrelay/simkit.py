@@ -120,6 +120,9 @@ class ExperimentPlan:
                 f"trials.max_trials ({self.trials.max_trials}) must cover at least "
                 f"one frame of frame_len ({self.frame_len}) symbols"
             )
+        if self.decoder.kind == "genie_reference" and self.spec.kind != "qam":
+            raise ValueError("genie_reference needs a QAM alphabet: with unit-modulus PSK "
+                             "it decodes exactly as ml")
         if self.decoder.epsilons and len(self.decoder.epsilons) != self.n_relays:
             raise ValueError(
                 f"decoder carries {len(self.decoder.epsilons)} epsilons "
@@ -268,8 +271,6 @@ def resolve_epsilons(plan: ExperimentPlan, index: int) -> tuple[float, ...]:
     per relay at the source-relay SNR of this grid point.  A miss raises with
     an instruction to calibrate first.
     """
-    if plan.n_relays == 0:
-        return ()
     if plan.decoder.kind == "naive_eps0":
         return tuple(0.0 for _ in range(plan.n_relays))
     if plan.tying == "sr_infinite" and plan.sr_eps == "vanishing":
@@ -348,7 +349,7 @@ def _simulate_batch(plan, index, jobs, decoder_cfg):
     frame_errors = np.count_nonzero(decoded != idx, axis=-1)
     return (
         int(frame_errors.sum()),
-        int(np.sum(frame_errors.astype(np.int64) ** 2)),
+        int(np.sum(frame_errors ** 2)),
         int(fallbacks),
     )
 
@@ -451,8 +452,6 @@ class ComparisonReport:
 
 
 def _rel_half(point: SerPoint) -> float:
-    if point.ser <= 0.0:
-        return math.inf
     return (point.ci_high - point.ci_low) / (2.0 * point.ser)
 
 
@@ -464,9 +463,8 @@ def snr_at_level(curve: SerCurve, level: float) -> float:
     ser = curve.ser
     if snr.size < 2:
         raise ValueError("need at least 2 successful points to interpolate")
-    if np.any(ser <= 0.0):
-        keep = ser > 0.0
-        snr, ser = snr[keep], ser[keep]
+    keep = ser > 0.0
+    snr, ser = snr[keep], ser[keep]
     log_level = math.log10(level)
     log_ser = np.log10(ser)
     for i in range(len(snr) - 1):

@@ -134,6 +134,30 @@ class TestExact:
         val = float(pep_exact(pts[0], pts[1], cfg))
         assert val == pytest.approx(1.0 / (2.0 * (1.0 + gbar)), rel=1e-13)
 
+    # (m, dB) -> (pep_exact, pep_quadrature_approx) of a neighbour pair at
+    # eps = (m-1)/m, where the clip level is exactly 0
+    ZERO_CLIP = {
+        (2, 0.0): ("0x1.0000000000000p-2", "0x1.b0cb174df99c8p-3"),
+        (2, 15.0): ("0x1.f639cddfc5b65p-7", "0x1.eec24ef786825p-7"),
+        (2, 40.0): ("0x1.a3637230afb38p-15", "0x1.a35e14367eac2p-15"),
+        (4, 0.0): ("0x1.3e7b70cac040cp-2", "0x1.1b06d1d200914p-2"),
+        (4, 15.0): ("0x1.e076dc9d9e258p-6", "0x1.d99f28b003021p-6"),
+        (4, 40.0): ("0x1.a35358ab98e20p-14", "0x1.a34dfb1ae1df3p-14"),
+        (16, 0.0): ("0x1.c6b169fb6b14ep-2", "0x1.ba08493c68e44p-2"),
+        (16, 15.0): ("0x1.8f6c6fed51db5p-3", "0x1.8c5938d264fa2p-3"),
+        (16, 40.0): ("0x1.570bd36132103p-10", "0x1.570773c036fd4p-10"),
+    }
+
+    @pytest.mark.parametrize("m, db", sorted(ZERO_CLIP))
+    def test_zero_clip_level_values_are_pinned(self, m, db):
+        # at T = 0 both routes' clip-region integrals are exactly 0.0
+        pts = make_psk(m).points
+        cfg = PepTermsConfig(SnrPoint.from_db(db, db), (m - 1) / m, m)
+        assert cfg.threshold == 0.0
+        got = (float(pep_exact(pts[0], pts[1], cfg)),
+               float(pep_quadrature_approx(pts[0], pts[1], cfg)))
+        assert got == tuple(float.fromhex(v) for v in self.ZERO_CLIP[(m, db)])
+
     @pytest.mark.parametrize("m", [4, 16])
     def test_scales_are_reciprocal_poles_of_averaged_cf(self, m):
         # 1/phi of the fading-averaged CF is quadratic in iu, with zeros at

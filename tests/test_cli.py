@@ -436,9 +436,39 @@ class TestConfigValidation:
          "config.grid_db range must have at most 10000 points"),
         ("calibration.grid_db", {"start": 0, "stop": 1e4, "step": 1},
          "config.calibration.grid_db range must have at most 10000 points"),
+        # a repeated grid value used to be simulated twice, from different
+        # streams, and a comparison then kept one of the two rows
+        ("grid_db", [6.0, 6.0, 12.0], "config.grid_db repeats 6 dB"),
+        ("grid_db", {"start": 0, "stop": 1e-8, "step": 1e-10}, "config.grid_db repeats 0 dB"),
+        ("calibration.grid_db", [12.0, 10.0, 12.0], "config.calibration.grid_db repeats 12 dB"),
+        # with PSK genie_reference used to write the ml curve under its own label
+        ("decoder", {"kind": "genie_reference", "epsilons": [0.01]},
+         "genie_reference needs a QAM alphabet"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, capsys, key, value, message):
         assert_refused_at_load(tmp_path, capsys, key, value, message)
+
+    def test_exponent_floats_without_a_dot_are_numbers(self, tmp_path):
+        # YAML 1.1 reads 2e4 and 1e-2 as strings; the loader reads them as
+        # YAML 1.2 does, and a quoted '1e8' stays a string
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "version: 1\n"
+            "constellation: {kind: psk, M: 4}\n"
+            "decoder: {kind: pl, epsilons: [1e-2]}\n"
+            "grid_db: {start: 0, stop: 2E1, step: 1_0e0}\n"
+            "trials: {min_errors: 2e2, max_trials: +2e4}\n"
+            "calibration: {path: eps.csv, method: monte_carlo, trials: 1e6,\n"
+            "              target_std_err: 1.5e-4}\n"
+            "output: {basename: '1e8'}\n"
+        )
+        cfg = load_config(str(path))
+        plan = cfg.jobs[0].plan
+        assert plan.decoder.epsilons == (0.01,)
+        assert plan.snr_grid_db == (0.0, 10.0, 20.0)
+        assert (plan.trials.min_errors, plan.trials.max_trials) == (200, 20_000)
+        assert (cfg.calibration.trials, cfg.calibration.target_std_err) == (10**6, 1.5e-4)
+        assert cfg.basename == "1e8"
 
     def test_seed_flag_outside_64_bits_refused(self, tmp_path, capsys):
         doc = minimal_doc(decoder={"kind": "pl", "epsilons": [0.01]})

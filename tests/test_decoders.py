@@ -578,6 +578,20 @@ class TestOpCounting:
         assert count_ops("ml", 16) == 15 * 16**2 + 20 * 16
         assert count_ops("pl", 16) == 33 * 15
 
+    @pytest.mark.parametrize("m", [2, 8, 32])
+    def test_counts_do_not_depend_on_the_samples(self, m):
+        # count_ops scores one fixed pair; any other pair gives the same count
+        rng = make_stream(17, m)
+        points = make_psk(m).points
+        threshold = clip_threshold(m, 1e-2)
+        for _ in range(5):
+            v = rng.normal(size=8)
+            sd_pair = (complex(v[0], v[1]), complex(v[2], v[3]))
+            rd_pair = (complex(v[4], v[5]), complex(v[6], v[7]))
+            _, ml = _counted_ml_decode(sd_pair, rd_pair, points, 1e-2, 0.1, 0.1)
+            _, pl = _counted_pl_decode(sd_pair, rd_pair, points, threshold, 0.1, 0.1)
+            assert (ml, pl) == (count_ops("ml", m), count_ops("pl", m))
+
     def test_counted_ml_decision_matches_production(self):
         rng = make_stream(18, 40)
         eps = 1e-2

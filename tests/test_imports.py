@@ -25,6 +25,23 @@ def test_package_and_cli_import_without_scipy():
     assert json.loads(res.stdout.strip().splitlines()[-1]) == []
 
 
+def test_package_binds_its_modules_and_re_exports_nothing():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import json, types\n"
+        "import diffrelay\n"
+        "names = {n: isinstance(v, types.ModuleType) for n, v in vars(diffrelay).items()\n"
+        "         if not n.startswith('_')}\n"
+        "print(json.dumps(names, sort_keys=True))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    modules = ["analysis", "channel", "constellation", "decoders", "diffmod", "relay",
+               "simkit", "specfun"]
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == dict.fromkeys(modules, True)
+
+
 def test_every_imported_name_is_used():
     unused = {}
     for path in sorted((SRC / "diffrelay").glob("*.py")):
